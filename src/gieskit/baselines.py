@@ -2,37 +2,36 @@
 and an exact dynamic-programming optimizer.
 
 gds hill-climbs in the space of DAGs with single-arrow insertions, deletions
-and reversals, using the same phase shell, tie-breaking and lazy acyclicity
-checks as the class-space search; with a complete single-vertex intervention
-family every equivalence class is a singleton and the two searches coincide
-move for move. ges erases all intervention labels and searches with the
-purely observational family. dp_exact maximizes the decomposable score over
-all DAGs by dynamic programming over vertex subsets (best-parent-set tables
-followed by a best-sink recursion), exponential in the vertex count.
+and reversals. It runs on the class-space search's own driver and candidate
+ranking: a DAG is a graph without lines, on which the class-space moves are
+exactly those single-arrow edits and their path conditions are the
+acyclicity checks; only the application differs, an in-place arrow edit
+instead of a move to the next essential graph. With a complete
+single-vertex intervention family every equivalence class is a singleton
+and the two searches coincide move for move. ges erases all intervention
+labels and searches with the purely observational family. dp_exact
+maximizes the decomposable score over all DAGs by dynamic programming over
+vertex subsets (best-parent-set tables followed by a best-sink recursion),
+exponential in the vertex count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
 
-from .graphs import Dag, Graph, GraphError, has_path
+# has_path is no longer called here but stays importable from this module:
+# perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
+from .graphs import Dag, Graph, GraphError, has_path, is_acyclic  # noqa: F401
 from .interventions import OBSERVATIONAL, TargetFamily, _require_conservative
-from .scoring import (
-    InterventionalDataset,
-    ScoreCache,
-    ScoringError,
-    local_score,
-    total_score,
-)
+from .scoring import InterventionalDataset, ScoreCache, ScoringError, local_score
 from .search import (
     GiesOptions,
     MoveCandidate,
     MoveKind,
     SearchResult,
     SearchTrace,
-    TraceEntry,
     gies,
+    run_phases,
 )
 
 
@@ -63,97 +62,17 @@ class DpResult:
 # -- greedy DAG search ------------------------------------------------------
 
 
-def _gds_forward(g, data, cache, max_degree):
-    for v in g.vertices:
-        ad_v = g.adjacent(v)
-        if max_degree is not None and len(ad_v) >= max_degree:
-            continue
-        pa_v = frozenset(g._pa[v])
-        for u in g.vertices:
-            if u == v or u in ad_v:
-                continue
-            if max_degree is not None and len(g.adjacent(u)) >= max_degree:
-                continue
-            try:
-                delta = local_score(v, pa_v | {u}, data, cache=cache) - local_score(
-                    v, pa_v, data, cache=cache
-                )
-            except ScoringError:
-                continue
-            yield MoveCandidate(MoveKind.INSERT, u, v, frozenset(), delta)
-
-
-def _gds_backward(g, data, cache):
-    for v in g.vertices:
-        pa_v = frozenset(g._pa[v])
-        for u in sorted(pa_v):
-            try:
-                delta = local_score(v, pa_v - {u}, data, cache=cache) - local_score(
-                    v, pa_v, data, cache=cache
-                )
-            except ScoringError:
-                continue
-            yield MoveCandidate(MoveKind.DELETE, u, v, frozenset(), delta)
-
-
-def _gds_turning(g, data, cache):
-    # reversing v -> u is keyed like the class-space turn of that arrow
-    for v in g.vertices:
-        pa_v = frozenset(g._pa[v])
-        for u in sorted(g._ch[v]):
-            pa_u = frozenset(g._pa[u])
-            try:
-                # fsum keeps the sign exact; a reversal's delta is then the
-                # exact negation and neutral turns cannot cycle on rounding
-                delta = fsum((
-                    local_score(v, pa_v | {u}, data, cache=cache),
-                    local_score(u, pa_u - {v}, data, cache=cache),
-                    -local_score(v, pa_v, data, cache=cache),
-                    -local_score(u, pa_u, data, cache=cache),
-                ))
-            except ScoringError:
-                continue
-            yield MoveCandidate(MoveKind.TURN_ARROW, u, v, frozenset(), delta)
-
-
-def _gds_lazy_valid(g: Graph, move: MoveCandidate) -> bool:
-    if move.kind == MoveKind.INSERT:
-        return not has_path(g, move.v, move.u, forbidden=frozenset())
-    if move.kind == MoveKind.TURN_ARROW:
-        cut = g.copy()
-        cut._pa[move.u].discard(move.v)
-        cut._ch[move.v].discard(move.u)
-        return not has_path(cut, move.v, move.u, forbidden=frozenset())
-    return True
-
-
-def _gds_best(g, phase, data, cache, max_degree):
-    if phase == "forward":
-        it = _gds_forward(g, data, cache, max_degree)
-    elif phase == "backward":
-        it = _gds_backward(g, data, cache)
-    elif phase == "turning":
-        it = _gds_turning(g, data, cache)
-    else:
-        raise GraphError(f"unknown phase {phase!r}")
-    for cand in sorted(it, key=lambda c: (-c.delta, c.key())):
-        if cand.delta <= 0.0:
-            return None
-        if _gds_lazy_valid(g, cand):
-            return cand
-    return None
-
-
-def _gds_apply(g: Graph, move: MoveCandidate) -> None:
+def _edit_dag(g: Graph, move: MoveCandidate) -> Graph:
+    """Apply a DAG-space move in place: on a graph without lines every move
+    is a single insertion, deletion or reversal of an arrow."""
     if move.kind == MoveKind.INSERT:
         g._add_arrow(move.u, move.v)
     elif move.kind == MoveKind.DELETE:
         g._drop_edge(move.u, move.v)
-    elif move.kind == MoveKind.TURN_ARROW:
+    else:
         g._drop_edge(move.v, move.u)
         g._add_arrow(move.u, move.v)
-    else:
-        raise GraphError(f"gds cannot apply a {move.kind.name} move")
+    return g
 
 
 def gds(
@@ -162,52 +81,9 @@ def gds(
     options: GiesOptions | None = None,
 ) -> DagSearchResult:
     """Greedy DAG-space search from the empty DAG."""
-    opts = options or GiesOptions()
-    _require_conservative(fam, data.p)
-    data.check_family(fam)
-    cache = ScoreCache(data, penalty=opts.penalty)
-    g = Graph(data.p)
-    score = total_score(Dag(data.p), data, cache=cache)
-    trace = SearchTrace() if opts.trace else None
-    steps = 0
-
-    def run_phase(phase: str) -> bool:
-        nonlocal score, steps
-        changed = False
-        while True:
-            move = _gds_best(g, phase, data, cache, opts.max_degree)
-            if move is None:
-                return changed
-            _gds_apply(g, move)
-            score += move.delta
-            steps += 1
-            changed = True
-            if trace is not None:
-                trace.entries.append(
-                    TraceEntry(
-                        phase=phase,
-                        kind=move.kind.name.lower(),
-                        u=move.u,
-                        v=move.v,
-                        C=[],
-                        delta=move.delta,
-                        score=score,
-                    )
-                )
-
-    if opts.variant == "gies-nt":
-        for ph in opts.phase_order:
-            if ph != "turning":
-                run_phase(ph)
-    else:
-        while True:
-            keep_going = False
-            for ph in opts.phase_order:
-                changed = run_phase(ph)
-                if changed and (ph != "forward" or opts.continue_after_forward):
-                    keep_going = True
-            if not keep_going:
-                break
+    g, score, steps, trace = run_phases(
+        data, fam, options or GiesOptions(), _edit_dag, is_acyclic
+    )
     return DagSearchResult(
         dag=Dag(data.p, arrows=g.arrows), score=score, steps=steps, trace=trace
     )

@@ -41,7 +41,6 @@ from .search import GiesOptions, gies
 from .simulate import SimConfig, simulate
 
 ALGOS = ("gies", "gies-nt", "gds", "ges", "dp")
-PHASES = ("forward", "backward", "turning")
 SWEEP_COLUMNS = (
     "p", "s", "k", "m", "n", "algo", "replicate", "seed",
     "score", "runtime_s", "steps",
@@ -53,14 +52,26 @@ def _read_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _emit(obj, args, default=None) -> None:
-    """Print obj as JSON, or write it to --out when given."""
-    text = json.dumps(obj, separators=(", ", ": "))
-    out = getattr(args, "out", None) or default
-    if out:
-        Path(out).write_text(text + "\n")
+def _write(text: str, args) -> None:
+    """Print text, or write it to --out when given."""
+    if args.out:
+        Path(args.out).write_text(text)
     else:
-        print(text)
+        print(text, end="")
+
+
+def _emit(obj, args) -> None:
+    """Print obj as JSON, or write it to --out when given."""
+    _write(json.dumps(obj, separators=(", ", ": ")) + "\n", args)
+
+
+def _emit_csv(rows: list[dict], fieldnames, args) -> None:
+    """Print rows as CSV, or write them to --out when given."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=list(fieldnames))
+    w.writeheader()
+    w.writerows(rows)
+    _write(buf.getvalue(), args)
 
 
 def _parse_targets(text: str | None, data: InterventionalDataset | None = None):
@@ -72,21 +83,9 @@ def _parse_targets(text: str | None, data: InterventionalDataset | None = None):
     raise ValueError("--targets is required")
 
 
-def _phase_order(text: str) -> tuple[str, ...]:
-    phases = tuple(ph.strip() for ph in text.split(",") if ph.strip())
-    for ph in phases:
-        if ph not in PHASES:
-            raise ValueError(f"unknown phase {ph!r}; choose from {PHASES}")
-    return phases
-
-
 def _options(args) -> GiesOptions:
     return GiesOptions(
-        variant="gies",
-        phase_order=_phase_order(getattr(args, "phase_order", ",".join(PHASES))),
-        max_degree=getattr(args, "max_degree", None),
-        trace=bool(getattr(args, "trace", None)),
-        penalty=getattr(args, "penalty", "total"),
+        max_degree=args.max_degree, trace=bool(args.trace), penalty=args.penalty
     )
 
 
@@ -96,10 +95,10 @@ def _run_algo(algo, data, fam, opts, max_p=15, max_parents=None):
         r = gies(data, fam, replace(opts, variant=algo))
         return r.graph.graph, r.score, r.steps, r.trace
     if algo == "ges":
-        r = ges(data, replace(opts, variant="gies"))
+        r = ges(data, opts)
         return r.graph.graph, r.score, r.steps, r.trace
     if algo == "gds":
-        r = gds(data, fam, replace(opts, variant="gies"))
+        r = gds(data, fam, opts)
         return r.dag, r.score, r.steps, r.trace
     if algo == "dp":
         r = dp_exact(data, fam, max_p=max_p, max_parents=max_parents)
@@ -203,11 +202,7 @@ def cmd_compare(args) -> int:
     fam = _parse_targets(args.targets)
     report = evaluate(est, truth, fam).to_dict()
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=list(report))
-        w.writeheader()
-        w.writerow(report)
-        print(buf.getvalue(), end="")
+        _emit_csv([report], report, args)
     else:
         _emit(report, args)
     return 0
@@ -247,15 +242,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(rows, args)
     else:
-        out = getattr(args, "out", None)
-        handle = open(out, "w", newline="") if out else sys.stdout
-        try:
-            w = csv.DictWriter(handle, fieldnames=list(SWEEP_COLUMNS))
-            w.writeheader()
-            w.writerows(rows)
-        finally:
-            if out:
-                handle.close()
+        _emit_csv(rows, SWEEP_COLUMNS, args)
     return 0
 
 
@@ -269,11 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if out:
-            sp.add_argument("--out", help="output file (default: stdout)")
+    def add_out(sp):
+        sp.add_argument("--out", help="output file (default: stdout)")
 
     sp = sub.add_parser("simulate", help="draw a random scenario and dataset")
     sp.add_argument("--p", type=int, required=True, help="vertex count")
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level-sd", type=float, default=0.2)
     sp.add_argument("--replicate", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
-    common(sp, out=False)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="run a structure learner on a dataset CSV")
@@ -295,26 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help='target family, e.g. "[]; [4]" (default: labels in data)')
     sp.add_argument("--algo", choices=ALGOS, default="gies")
     sp.add_argument("--max-degree", type=int, default=None)
-    sp.add_argument("--phase-order", default=",".join(PHASES))
     sp.add_argument("--penalty", choices=("total", "per-node"), default="total")
     sp.add_argument("--trace", help="write the move trace as JSON lines")
     sp.add_argument("--max-p", type=int, default=15, help="dp vertex limit")
     sp.add_argument("--max-parents", type=int, default=None,
                     help="dp parent-set cap")
-    common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("essential", help="essential graph of a DAG")
     sp.add_argument("--dag", required=True, help="DAG JSON path")
     sp.add_argument("--targets", required=True)
-    common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_essential)
 
     sp = sub.add_parser("equiv", help="equivalence of two DAGs under a family")
     sp.add_argument("--dag1", required=True)
     sp.add_argument("--dag2", required=True)
     sp.add_argument("--targets", required=True)
-    common(sp)
+    add_out(sp)
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("representatives", help="enumerate the DAGs of a class")
@@ -322,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets", required=True)
     sp.add_argument("--limit", type=int, default=10_000)
     sp.add_argument("--out-dir", help="write one JSON file per DAG")
-    common(sp, out=False)
     sp.set_defaults(func=cmd_representatives)
 
     sp = sub.add_parser("compare", help="SHD report of an estimate vs the truth")
     sp.add_argument("--estimate", required=True, help="graph JSON path")
     sp.add_argument("--truth", required=True, help="true DAG JSON path")
     sp.add_argument("--targets", required=True)
-    common(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    add_out(sp)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("sweep", help="simulate+fit+compare over a grid")
@@ -340,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, nargs="+", required=True)
     sp.add_argument("--algo", choices=ALGOS, nargs="+", default=["gies"])
     sp.add_argument("--replicates", type=int, default=1)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    add_out(sp)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

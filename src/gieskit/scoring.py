@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +48,10 @@ class SingularDesign(ScoringError):
     """Parent columns are (numerically) linearly dependent."""
 
 
+class NonFiniteData(ScoringError):
+    """The sample matrix holds a NaN or infinite value."""
+
+
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row."""
 
@@ -59,6 +63,9 @@ class InterventionalDataset:
             raise ScoringError(
                 f"{len(targets)} row targets for {X.shape[0]} rows"
             )
+        if not np.isfinite(X).all():
+            row, col = np.argwhere(~np.isfinite(X))[0]
+            raise NonFiniteData(f"{X[row, col]} in row {row + 1}, column x{col + 1}")
         self.X = np.ascontiguousarray(X)
         self.targets: tuple[Target, ...] = tuple(frozenset(t) for t in targets)
         for t in self.targets:

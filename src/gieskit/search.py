@@ -15,13 +15,16 @@ The driver repeats three phases to a fixpoint each: forward (inserts),
 backward (deletes) and turning; the outer loop continues while backward or
 turning still improve. Candidates are ranked by score delta; exact ties fall
 back to the lexicographic key (kind, v, u, sorted C), so runs are
-deterministic. Only strictly positive deltas are accepted.
+deterministic. Only strictly positive deltas are accepted. The same driver
+runs the DAG-space search of `baselines.gds`: a DAG is a graph without
+lines, on which every C is empty and the candidates are exactly the
+single-arrow insertions, deletions and reversals.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 from math import fsum
 from typing import Callable, Iterable, Iterator
@@ -43,7 +46,6 @@ from .graphs import (
 from .interventions import (
     EssentialGraph,
     TargetFamily,
-    _component_orientations,
     _require_conservative,
     is_essential_graph,
     replace_unprotected,
@@ -94,18 +96,7 @@ class TraceEntry:
     score: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "phase": self.phase,
-                "kind": self.kind,
-                "u": self.u,
-                "v": self.v,
-                "C": self.C,
-                "delta": self.delta,
-                "score": self.score,
-            },
-            separators=(", ", ": "),
-        )
+        return json.dumps(asdict(self), separators=(", ", ": "))
 
 
 @dataclass
@@ -123,16 +114,13 @@ class GiesOptions:
     variant: "gies" (full loop) or "gies-nt" (one forward fixpoint, one
     backward fixpoint, no turning). max_degree bounds the number of
     neighbours a vertex may reach through inserts, guarding the clique
-    enumeration. continue_after_forward also repeats the outer loop when
-    only the forward phase improved. validate_steps re-checks the essential
-    graph conditions after every applied move.
+    enumeration. validate_steps re-checks the graph after every applied
+    move: the essential graph conditions for gies, acyclicity for gds.
     """
 
     variant: str = "gies"
-    phase_order: tuple[str, ...] = ("forward", "backward", "turning")
     max_degree: int | None = None
     trace: bool = False
-    continue_after_forward: bool = False
     penalty: str = "total"
     validate_steps: bool = False
 
@@ -372,9 +360,8 @@ def apply_turn_line(
     u -> v in a representative orienting C into v.
 
     The representative orients v's chain component by a lexicographic BFS
-    seeded (C, v, u, ...); the seed provably realizes in-neighbourhoods C at
-    v and (C & N) | {v} at u, which is verified and, failing that, recovered
-    by searching the component's admissible orientations.
+    seeded (C, v, u, ...); for a valid move that seed provably realizes the
+    in-neighbourhoods C at v and (C & N) | {v} at u, which is verified.
     """
     C = frozenset(C)
     if not valid_turn_line(g, u, v, C):
@@ -387,20 +374,9 @@ def apply_turn_line(
         _in_component_parents(h, comp, v) != C
         or _in_component_parents(h, comp, u) != want_u
     ):
-        for oriented in _component_orientations(g, comp, 1_000_000):
-            trial = g.copy()
-            for a, b in oriented:
-                trial._orient(a, b)
-            if (
-                _in_component_parents(trial, comp, v) == C
-                and _in_component_parents(trial, comp, u) == want_u
-            ):
-                h = trial
-                break
-        else:
-            raise InvalidMove(
-                f"no representative realizes turn-line ({u}, {v}, {sorted(C)})"
-            )
+        raise InvalidMove(
+            f"no representative realizes turn-line ({u}, {v}, {sorted(C)})"
+        )
     h._drop_edge(u, v)
     h._add_arrow(u, v)
     return replace_unprotected(h, fam)
@@ -524,17 +500,17 @@ def _turning_candidates(
                 yield delta, MoveCandidate(MoveKind.TURN_ARROW, u, v, C, delta)
 
 
+# enumeration checks every condition except the path conditions of insert
+# and turn-arrow, which are deferred to the ranked walk
+_LAZY_VALID: dict[MoveKind, Callable[..., bool]] = {
+    MoveKind.INSERT: valid_insert,
+    MoveKind.TURN_ARROW: valid_turn_arrow,
+}
+
+
 def _lazy_valid(g: Graph, move: MoveCandidate) -> bool:
-    """Deferred global validity: the path conditions of insert and
-    turn-arrow; other kinds were fully validated during enumeration."""
-    if move.kind == MoveKind.INSERT:
-        return not has_path(g, move.v, move.u, forbidden=move.C)
-    if move.kind == MoveKind.TURN_ARROW:
-        cut = g.copy()
-        cut._pa[move.u].discard(move.v)
-        cut._ch[move.v].discard(move.u)
-        return not has_path(cut, move.v, move.u, forbidden=move.C | g._nb[move.u])
-    return True
+    check = _LAZY_VALID.get(move.kind)
+    return check is None or check(g, move.u, move.v, move.C)
 
 
 def best_move(
@@ -569,32 +545,22 @@ def best_move(
     return None
 
 
-def phase_step(
-    e: EssentialGraph,
-    data: InterventionalDataset,
-    phase: str,
-    cache: ScoreCache | None = None,
-    max_degree: int | None = None,
-) -> EssentialGraph:
-    """One greedy step of a phase: apply the best strictly improving move,
-    or return the graph unchanged when none exists."""
-    move = best_move(e.graph, phase, data, cache=cache, max_degree=max_degree)
-    if move is None:
-        return e
-    nxt = apply_move(e.graph, move, e.targets)
-    return EssentialGraph(as_chain_graph(nxt), e.targets)
-
-
 # -- driver -----------------------------------------------------------------
 
 
-def gies(
+def run_phases(
     data: InterventionalDataset,
     fam: TargetFamily,
-    options: GiesOptions | None = None,
-) -> SearchResult:
-    """Greedy interventional equivalence search from the empty graph."""
-    opts = options or GiesOptions()
+    opts: GiesOptions,
+    apply: Callable[[Graph, MoveCandidate], Graph],
+    check: Callable[[Graph], object],
+) -> tuple[Graph, float, int, SearchTrace | None]:
+    """The greedy phase loop from the empty graph, shared by gies and gds.
+
+    `apply` returns the graph after a move (it may edit its argument in
+    place); `check` is the validate_steps test, falsy on a broken graph.
+    Returns (graph, score, steps, trace).
+    """
     if opts.variant not in ("gies", "gies-nt"):
         raise GraphError(f"unknown variant {opts.variant!r}")
     _require_conservative(fam, data.p)
@@ -612,7 +578,7 @@ def gies(
             move = best_move(g, phase, data, cache=cache, max_degree=opts.max_degree)
             if move is None:
                 return changed
-            g = apply_move(g, move, fam)
+            g = apply(g, move)
             score += move.delta
             steps += 1
             changed = True
@@ -629,26 +595,39 @@ def gies(
                     )
                 )
             if opts.validate_steps:
-                report = is_essential_graph(g, fam)
+                report = check(g)
                 if not report:
                     raise AssertionError(
-                        f"step {steps} left a non-essential graph: "
-                        f"{report.violated} ({report.witness})"
+                        f"step {steps} left an invalid graph: {report}"
                     )
 
     if opts.variant == "gies-nt":
-        phases = [ph for ph in opts.phase_order if ph != "turning"]
-        for ph in phases:
-            run_phase(ph)
+        run_phase("forward")
+        run_phase("backward")
     else:
+        # a forward fixpoint is only disturbed by backward or turning moves
         while True:
-            keep_going = False
-            for ph in opts.phase_order:
-                changed = run_phase(ph)
-                if changed and (ph != "forward" or opts.continue_after_forward):
-                    keep_going = True
-            if not keep_going:
+            run_phase("forward")
+            backward = run_phase("backward")
+            turning = run_phase("turning")
+            if not (backward or turning):
                 break
+    return g, score, steps, trace
+
+
+def gies(
+    data: InterventionalDataset,
+    fam: TargetFamily,
+    options: GiesOptions | None = None,
+) -> SearchResult:
+    """Greedy interventional equivalence search from the empty graph."""
+    g, score, steps, trace = run_phases(
+        data,
+        fam,
+        options or GiesOptions(),
+        lambda g, move: apply_move(g, move, fam),
+        lambda g: is_essential_graph(g, fam),
+    )
     return SearchResult(
         graph=EssentialGraph(as_chain_graph(g), fam),
         score=score,

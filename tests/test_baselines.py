@@ -10,6 +10,7 @@ from gieskit import (
     DagSearchResult,
     DpResult,
     GiesOptions,
+    GraphError,
     NonConservativeFamily,
     ScoringError,
     SimConfig,
@@ -77,10 +78,19 @@ def test_gds_max_degree():
 
 
 def test_gds_validation():
+    with pytest.raises(GraphError):
+        gds(SIM6.data, SIM6.fam, GiesOptions(variant="tabu"))
     with pytest.raises(NonConservativeFamily):
         gds(SIM6.data, TargetFamily([(1,)]))
     with pytest.raises(ScoringError):
         gds(SIM6.data, TargetFamily([(), (1,)]))
+
+
+def test_gds_validate_steps_and_nt_variant():
+    full = gds(SIM6.data, SIM6.fam, GiesOptions(validate_steps=True))
+    assert full.dag == gds(SIM6.data, SIM6.fam).dag
+    nt = gds(SIM6.data, SIM6.fam, GiesOptions(variant="gies-nt", trace=True))
+    assert all(e.phase != "turning" for e in nt.trace.entries)
 
 
 # -- observational search --------------------------------------------------------

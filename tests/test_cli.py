@@ -147,11 +147,22 @@ def test_fit_dp_rejects_large_problems(sim_dir, capsys):
     assert payload["error"] == "TooLarge"
 
 
-def test_fit_rejects_unknown_phase(sim_dir, capsys):
-    code, _, err = run(capsys, "fit", "--data", str(sim_dir / "dataset.csv"),
-                       "--phase-order", "forward,sideways")
-    assert code == 1
-    assert json.loads(err)["error"] == "ValueError"
+@pytest.mark.parametrize("flag", [("--format", "csv"), ("--seed", "3")])
+def test_fit_rejects_flags_it_does_not_read(sim_dir, capsys, flag):
+    # fit prints JSON and is deterministic: --format and --seed would be
+    # accepted and then ignored
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--data", str(sim_dir / "dataset.csv"), *flag])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fit_reports_non_finite_data(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,target\n1.0,2.0,\n3.0,nan,\n")
+    code, stdout, err = run(capsys, "fit", "--data", str(path))
+    assert code == 1 and stdout == ""
+    assert json.loads(err)["error"] == "NonFiniteData"
 
 
 # -- essential / equiv / representatives ----------------------------------------
@@ -234,6 +245,19 @@ def test_compare_csv_format(tmp_path, capsys):
     header, row = stdout.strip().splitlines()
     assert header == "shd,fp,fn,wo,shd_vs_essential,non_essential_true"
     assert row.split(",")[0] == "4"
+
+
+def test_compare_csv_honours_out(tmp_path, capsys):
+    est = write_json(tmp_path / "est.json", cases.eg_7v_t4())
+    truth = write_json(tmp_path / "truth.json", cases.dag_7v())
+    out = tmp_path / "report.csv"
+    code, stdout, _ = run(capsys, "compare", "--estimate", est,
+                          "--truth", truth, "--targets", "[]; [4]",
+                          "--format", "csv", "--out", str(out))
+    assert code == 0 and stdout == ""
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1 and rows[0]["shd"] == "4"
 
 
 # -- sweep ---------------------------------------------------------------------

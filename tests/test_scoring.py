@@ -12,6 +12,7 @@ from gieskit import (
     Graph,
     InsufficientSamples,
     InterventionalDataset,
+    NonFiniteData,
     ScoreCache,
     ScoringError,
     SimConfig,
@@ -61,6 +62,26 @@ def test_dataset_validation():
         InterventionalDataset(np.zeros((2, 3)), [(), (4,)])
     with pytest.raises(ScoringError):
         InterventionalDataset(np.zeros((2, 3)), [(), (0,)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(bad):
+    # a bad cell makes the local scores of its column non-finite, which the
+    # search would read as "no improving move" and stop at the empty graph
+    sim = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
+    X = sim.data.X.copy()
+    X[0, 2] = bad
+    with pytest.raises(NonFiniteData, match="row 1, column x3"):
+        InterventionalDataset(X, sim.data.targets)
+    assert issubclass(NonFiniteData, ScoringError)
+
+
+def test_read_csv_rejects_non_finite_values(tmp_path):
+    for cell in ("nan", "inf", "-inf"):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,x2,target\n1.0,2.0,\n3.0,{cell},1\n")
+        with pytest.raises(NonFiniteData, match="row 2, column x2"):
+            InterventionalDataset.read_csv(path)
 
 
 def test_check_family():

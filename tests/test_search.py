@@ -12,7 +12,6 @@ import cases
 import oracles
 from gieskit import (
     Dag,
-    EssentialGraph,
     GiesOptions,
     Graph,
     GraphError,
@@ -32,7 +31,6 @@ from gieskit import (
     apply_move,
     apply_turn_arrow,
     apply_turn_line,
-    as_chain_graph,
     best_move,
     delta_delete,
     delta_insert,
@@ -41,7 +39,6 @@ from gieskit import (
     essential_graph,
     gies,
     is_essential_graph,
-    phase_step,
     random_model,
     representative,
     sample,
@@ -254,7 +251,7 @@ def test_moves_change_the_class(arrows, targets):
         assert APPLIES[kind](e, u, v, C, fam) != e, (kind, u, v, C)
 
 
-# -- best_move / phase_step ------------------------------------------------------
+# -- best_move -----------------------------------------------------------------
 
 
 def test_best_move_picks_the_highest_delta():
@@ -279,17 +276,6 @@ def test_best_move_returns_none_at_a_fixpoint():
     done = gies(SIM6.data, SIM6.fam).graph.graph
     for phase in ("forward", "backward", "turning"):
         assert best_move(done, phase, SIM6.data) is None
-
-
-def test_phase_step_applies_the_best_move():
-    e = EssentialGraph(as_chain_graph(Graph(6)), SIM6.fam)
-    move = best_move(e.graph, "forward", SIM6.data)
-    stepped = phase_step(e, SIM6.data, "forward")
-    assert isinstance(stepped, EssentialGraph)
-    assert stepped.graph == apply_move(e.graph, move, SIM6.fam)
-    # at the fixpoint the graph comes back unchanged
-    done = gies(SIM6.data, SIM6.fam).graph
-    assert phase_step(done, SIM6.data, "forward").graph == done.graph
 
 
 # -- the full search -------------------------------------------------------------
@@ -368,9 +354,3 @@ def test_gies_result_is_essential_for_every_family_tested():
         res = gies(sim.data, sim.fam)
         report = is_essential_graph(res.graph.graph, sim.fam)
         assert report.ok, (seed, report.violated, report.witness)
-
-
-def test_gies_continue_after_forward_matches_default_here():
-    a = gies(SIM6.data, SIM6.fam, GiesOptions(continue_after_forward=True))
-    b = gies(SIM6.data, SIM6.fam)
-    assert a.graph.graph == b.graph.graph
