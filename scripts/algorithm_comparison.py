@@ -17,31 +17,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gieskit import (
-    GiesOptions,
-    SimConfig,
-    dp_exact,
-    essential_graph,
-    gds,
-    ges,
-    gies,
-    shd,
-    simulate,
-)
+from gieskit import Dag, GiesOptions, SimConfig, essential_graph, shd, simulate
+from gieskit.cli import _run_algo
 
 
 def fit(algo, data, fam):
-    opts = GiesOptions()
-    if algo in ("gies", "gies-nt"):
-        res = gies(data, fam, GiesOptions(variant=algo))
-        return res.graph.graph
-    if algo == "ges":
-        return ges(data, opts).graph.graph
-    if algo == "gds":
-        return essential_graph(gds(data, fam, opts).dag, fam).graph
-    if algo == "dp":
-        return essential_graph(dp_exact(data, fam).dag, fam).graph
-    raise ValueError(f"unknown algorithm {algo!r}")
+    graph = _run_algo(algo, data, fam, GiesOptions())[0]
+    # gds and dp estimate a DAG: compare its class, as for the class learners
+    return essential_graph(graph, fam).graph if isinstance(graph, Dag) else graph
 
 
 def main() -> int:

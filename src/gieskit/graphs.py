@@ -456,6 +456,17 @@ def lexbfs(
     return tuple(out)
 
 
+def _orient_component(h: Graph, comp: Iterable[int], order: Sequence[int]) -> None:
+    """Orient, in place, every line of h inside the chain component comp
+    from its earlier to its later endpoint in `order` (a lexBFS order of
+    comp, so the orientation has no cycle and no v-structure)."""
+    pos = {x: i for i, x in enumerate(order)}
+    for a in comp:
+        for b in list(h._nb[a]):
+            if pos[a] < pos[b]:
+                h._orient(a, b)
+
+
 def is_perfect_elimination(ordering: Sequence[int], g: Graph) -> bool:
     """True iff, for every vertex, its neighbours occurring earlier in
     `ordering` are pairwise adjacent (so orienting every line towards the

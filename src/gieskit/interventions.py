@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotAnArrow,
+    _orient_component,
     as_chain_graph,
     chain_components,
     is_acyclic,
@@ -317,15 +318,10 @@ def representative(e: EssentialGraph | Graph) -> Dag:
     """One member of the equivalence class: orient every chain component by
     a lexicographic BFS seeded with ascending vertex ids."""
     g = _as_graph(e)
-    arrows = list(g.arrows)
+    h = g.copy()
     for comp in chain_components(g):
-        order = lexbfs(sorted(comp), g, comp)
-        pos = {v: i for i, v in enumerate(order)}
-        for a in comp:
-            for b in g._nb[a]:
-                if a < b:
-                    arrows.append((a, b) if pos[a] < pos[b] else (b, a))
-    return Dag(g.p, arrows=arrows)
+        _orient_component(h, comp, lexbfs(sorted(comp), g, comp))
+    return Dag(g.p, arrows=h.arrows)
 
 
 def _component_orientations(

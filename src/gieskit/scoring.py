@@ -66,6 +66,12 @@ class InterventionalDataset:
         if not np.isfinite(X).all():
             row, col = np.argwhere(~np.isfinite(X))[0]
             raise NonFiniteData(f"{X[row, col]} in row {row + 1}, column x{col + 1}")
+        # a finite sum of squares bounds every residual sum of squares
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->j", X, X)
+        if not np.isfinite(squares).all():
+            col = np.flatnonzero(~np.isfinite(squares))[0]
+            raise NonFiniteData(f"the sum of squares of column x{col + 1} overflows")
         self.X = np.ascontiguousarray(X)
         self.targets: tuple[Target, ...] = tuple(frozenset(t) for t in targets)
         for t in self.targets:

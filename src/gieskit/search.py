@@ -13,12 +13,14 @@ class's essential graph.
 
 The driver repeats three phases to a fixpoint each: forward (inserts),
 backward (deletes) and turning; the outer loop continues while backward or
-turning still improve. Candidates are ranked by score delta; exact ties fall
-back to the lexicographic key (kind, v, u, sorted C), so runs are
-deterministic. Only strictly positive deltas are accepted. The same driver
-runs the DAG-space search of `baselines.gds`: a DAG is a graph without
-lines, on which every C is empty and the candidates are exactly the
-single-arrow insertions, deletions and reversals.
+turning still improve. One generator yields the candidates of every phase,
+visiting each v once and sharing the insert term s(v, pa(v) | C) across u.
+They are ranked by score delta; exact ties fall back to the lexicographic
+key (kind, v, u, sorted C), so runs are deterministic. The path conditions
+are checked on this ranked walk only, and only strictly positive deltas are
+accepted. The same driver runs the DAG-space search of `baselines.gds`: a
+DAG is a graph without lines, on which every C is empty and the candidates
+are exactly the single-arrow insertions, deletions and reversals.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .graphs import (
     NotAnArrow,
     NotAnEdge,
     VerticesAdjacent,
+    _orient_component,
     as_chain_graph,
     cliques_in_neighborhood,
     component_of,
@@ -165,6 +168,30 @@ def _neighborhood_separated(
 # -- validity ---------------------------------------------------------------
 
 
+# With N := nb(v) & ad(u), the rule by which each move kind admits a clique C
+# of line-neighbours of v, shared by the enumeration and the valid_* checks.
+# Turn-line: C avoids u, C \ N is nonempty (otherwise the class does not
+# change), and C & N separates C \ N from N \ C inside g[nb(v)].
+_ADMITS: dict[MoveKind, Callable[..., bool]] = {
+    MoveKind.INSERT: lambda g, nb_v, N, u, C: N <= C,
+    MoveKind.DELETE: lambda g, nb_v, N, u, C: C <= N,
+    MoveKind.TURN_LINE: lambda g, nb_v, N, u, C: (
+        u not in C
+        and bool(C - N)
+        and _neighborhood_separated(g, nb_v, C - N, N - C, C & N)
+    ),
+}
+_ADMITS[MoveKind.TURN_ARROW] = _ADMITS[MoveKind.INSERT]
+
+
+def _admitted(g: Graph, kind: MoveKind, u: int, v: int, C: frozenset[int]) -> bool:
+    """Whether C is a clique of line-neighbours of v that the move kind
+    admits for the pair (u, v)."""
+    nb_v = frozenset(g._nb[v])
+    N = nb_v & g.adjacent(u)
+    return C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)
+
+
 def valid_insert(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     """Insert of u -> v with representative orientation C at v: C must be a
     clique of line-neighbours of v containing N := nb(v) & ad(u), and every
@@ -174,11 +201,7 @@ def valid_insert(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     if g.is_adjacent(u, v):
         raise VerticesAdjacent(f"{u} and {v} are already adjacent")
     C = frozenset(C)
-    if not C <= g._nb[v] or not _clique_of_lines(g, C):
-        return False
-    if not (g._nb[v] & g.adjacent(u)) <= C:
-        return False
-    return not has_path(g, v, u, forbidden=C)
+    return _admitted(g, MoveKind.INSERT, u, v, C) and not has_path(g, v, u, forbidden=C)
 
 
 def valid_delete(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
@@ -186,9 +209,7 @@ def valid_delete(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     line-neighbours of v inside N := nb(v) & ad(u)."""
     if not (g.has_arrow(u, v) or g.has_line(u, v)):
         raise NotAnEdge(f"no arrow {u} -> {v} and no line {u} - {v}")
-    C = frozenset(C)
-    N = g._nb[v] & g.adjacent(u)
-    return C <= N and _clique_of_lines(g, C)
+    return _admitted(g, MoveKind.DELETE, u, v, frozenset(C))
 
 
 def valid_turn_line(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
@@ -198,14 +219,7 @@ def valid_turn_line(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     from N \\ C inside g[nb(v)]."""
     if not g.has_line(u, v):
         raise NotALine(f"no line {u} - {v}")
-    C = frozenset(C)
-    nbv = frozenset(g._nb[v])
-    if u in C or not C <= nbv or not _clique_of_lines(g, C):
-        return False
-    N = nbv & g.adjacent(u)
-    if not C - N:
-        return False
-    return _neighborhood_separated(g, nbv, C - N, N - C, C & N)
+    return _admitted(g, MoveKind.TURN_LINE, u, v, frozenset(C))
 
 
 def valid_turn_arrow(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
@@ -216,9 +230,7 @@ def valid_turn_arrow(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     if not g.has_arrow(v, u):
         raise NotAnArrow(f"no arrow {v} -> {u}")
     C = frozenset(C)
-    if not C <= g._nb[v] or not _clique_of_lines(g, C):
-        return False
-    if not (g._nb[v] & g.adjacent(u)) <= C:
+    if not _admitted(g, MoveKind.TURN_ARROW, u, v, C):
         return False
     cut = g.copy()
     cut._pa[u].discard(v)
@@ -303,21 +315,6 @@ def delta_turn_arrow(
 # -- application ------------------------------------------------------------
 
 
-def _orient_component(h: Graph, comp: frozenset[int], order: tuple[int, ...]) -> None:
-    pos = {x: i for i, x in enumerate(order)}
-    for a in comp:
-        for b in list(h._nb[a]):
-            if a < b:
-                if pos[a] < pos[b]:
-                    h._orient(a, b)
-                else:
-                    h._orient(b, a)
-
-
-def _in_component_parents(h: Graph, comp: frozenset[int], x: int) -> frozenset[int]:
-    return frozenset(h._pa[x] & comp)
-
-
 def apply_insert(
     g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
 ) -> Graph:
@@ -370,10 +367,7 @@ def apply_turn_line(
     comp = component_of(g, v)
     want_u = (C & (g._nb[v] & g.adjacent(u))) | {v}
     _orient_component(h, comp, lexbfs(sorted(C) + [v, u], g, comp))
-    if (
-        _in_component_parents(h, comp, v) != C
-        or _in_component_parents(h, comp, u) != want_u
-    ):
+    if h._pa[v] & comp != C or h._pa[u] & comp != want_u:
         raise InvalidMove(
             f"no representative realizes turn-line ({u}, {v}, {sorted(C)})"
         )
@@ -414,90 +408,67 @@ def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
 
 # -- enumeration ------------------------------------------------------------
 
+_PHASE_KINDS: dict[str, tuple[MoveKind, ...]] = {
+    "forward": (MoveKind.INSERT,),
+    "backward": (MoveKind.DELETE,),
+    "turning": (MoveKind.TURN_LINE, MoveKind.TURN_ARROW),
+}
+# the insert delta is computed inline, sharing its u-independent term
+_DELTA: dict[MoveKind, Callable[..., float]] = {
+    MoveKind.DELETE: delta_delete,
+    MoveKind.TURN_LINE: delta_turn_line,
+    MoveKind.TURN_ARROW: delta_turn_arrow,
+}
 
-def _forward_candidates(
+
+def _partners(g: Graph, kind: MoveKind, v: int, ad: list, cap: int) -> Iterable[int]:
+    """The u of the pairs (u, v) that a move of the kind acts on."""
+    if kind is MoveKind.INSERT:
+        if len(ad[v]) >= cap:
+            return ()
+        return [u for u in g.vertices if u != v and u not in ad[v] and len(ad[u]) < cap]
+    if kind is MoveKind.DELETE:
+        return g._pa[v] | g._nb[v]
+    return g._nb[v] if kind is MoveKind.TURN_LINE else g._ch[v]
+
+
+def _candidates(
     g: Graph,
+    kinds: tuple[MoveKind, ...],
     data: InterventionalDataset,
-    cache: ScoreCache | None,
-    max_degree: int | None,
-) -> Iterator[tuple[float, MoveCandidate]]:
-    for v in g.vertices:
-        ad_v = g.adjacent(v)
-        if max_degree is not None and len(ad_v) >= max_degree:
-            continue
-        nb_v = g._nb[v]
-        pa_v = frozenset(g._pa[v])
-        cliques = cliques_in_neighborhood(g, nb_v)
-        for u in g.vertices:
-            if u == v or u in ad_v:
-                continue
-            if max_degree is not None and len(g.adjacent(u)) >= max_degree:
-                continue
-            N = nb_v & g.adjacent(u)
-            for C in cliques:
-                if not N <= C:
-                    continue
-                try:
-                    base = local_score(v, pa_v | C, data, cache=cache)
-                    grown = local_score(v, pa_v | C | {u}, data, cache=cache)
-                except ScoringError:
-                    continue
-                yield grown - base, MoveCandidate(
-                    MoveKind.INSERT, u, v, C, grown - base
-                )
-
-
-def _backward_candidates(
-    g: Graph,
-    data: InterventionalDataset,
-    cache: ScoreCache | None,
-) -> Iterator[tuple[float, MoveCandidate]]:
-    for v in g.vertices:
-        pa_v = frozenset(g._pa[v])
-        for u in sorted(g._pa[v] | g._nb[v]):
-            N = g._nb[v] & g.adjacent(u)
-            for C in cliques_in_neighborhood(g, N):
-                try:
-                    base = local_score(v, pa_v | C | {u}, data, cache=cache)
-                    shrunk = local_score(v, (pa_v | C) - {u}, data, cache=cache)
-                except ScoringError:
-                    continue
-                yield shrunk - base, MoveCandidate(
-                    MoveKind.DELETE, u, v, C, shrunk - base
-                )
-
-
-def _turning_candidates(
-    g: Graph,
-    data: InterventionalDataset,
-    cache: ScoreCache | None,
-) -> Iterator[tuple[float, MoveCandidate]]:
+    cache: ScoreCache | None = None,
+    max_degree: int | None = None,
+) -> Iterator[MoveCandidate]:
+    """Every scored (u, v, C) of the given kinds whose C passes its kind's
+    rule, visiting each v once; moves that cannot be fitted are skipped.
+    max_degree closes inserts at vertices with that many neighbours."""
+    ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
+    cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
     for v in g.vertices:
         nb_v = frozenset(g._nb[v])
         pa_v = frozenset(g._pa[v])
-        cliques = cliques_in_neighborhood(g, nb_v)
-        for u in sorted(nb_v):
-            N = nb_v & g.adjacent(u)
-            for C in cliques:
-                if u in C or not C - N:
-                    continue
-                if not _neighborhood_separated(g, nb_v, C - N, N - C, C & N):
-                    continue
-                try:
-                    delta = delta_turn_line(g, u, v, C, data, cache=cache)
-                except ScoringError:
-                    continue
-                yield delta, MoveCandidate(MoveKind.TURN_LINE, u, v, C, delta)
-        for u in sorted(g._ch[v]):
-            N = nb_v & g.adjacent(u)
-            for C in cliques:
-                if not N <= C:
+        pairs = [
+            (u, nb_v & ad[u], kind, _ADMITS[kind], _DELTA.get(kind))
+            for kind in kinds
+            for u in _partners(g, kind, v, ad, cap)
+        ]
+        if not pairs:
+            continue
+        for C in cliques_in_neighborhood(g, nb_v):
+            base = None
+            for u, N, kind, admits, delta_of in pairs:
+                if not admits(g, nb_v, N, u, C):
                     continue
                 try:
-                    delta = delta_turn_arrow(g, u, v, C, data, cache=cache)
+                    if delta_of is not None:
+                        delta = delta_of(g, u, v, C, data, cache)
+                    else:
+                        if base is None:
+                            base = local_score(v, pa_v | C, data, cache=cache)
+                        delta = local_score(v, pa_v | C | {u}, data, cache=cache) - base
                 except ScoringError:
                     continue
-                yield delta, MoveCandidate(MoveKind.TURN_ARROW, u, v, C, delta)
+                yield MoveCandidate(kind, u, v, C, delta)
 
 
 # enumeration checks every condition except the path conditions of insert
@@ -526,16 +497,12 @@ def best_move(
     as tie-break; the expensive path conditions are only checked on this
     sorted walk, best first.
     """
-    if phase == "forward":
-        it = _forward_candidates(g, data, cache, max_degree)
-    elif phase == "backward":
-        it = _backward_candidates(g, data, cache)
-    elif phase == "turning":
-        it = _turning_candidates(g, data, cache)
-    else:
+    kinds = _PHASE_KINDS.get(phase)
+    if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
     ranked = sorted(
-        (c for _, c in it), key=lambda c: (-c.delta, c.key())
+        _candidates(g, kinds, data, cache, max_degree),
+        key=lambda c: (-c.delta, c.key()),
     )
     for cand in ranked:
         if cand.delta <= 0.0:

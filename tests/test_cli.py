@@ -165,6 +165,14 @@ def test_fit_reports_non_finite_data(tmp_path, capsys):
     assert json.loads(err)["error"] == "NonFiniteData"
 
 
+def test_fit_reports_overflowing_squares(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,target\n1.0,2e160,\n3.0,-1e160,\n")
+    code, stdout, err = run(capsys, "fit", "--data", str(path))
+    assert code == 1 and stdout == ""
+    assert json.loads(err)["error"] == "NonFiniteData"
+
+
 # -- essential / equiv / representatives ----------------------------------------
 
 

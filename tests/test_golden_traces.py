@@ -2,7 +2,8 @@
 
 `golden_traces.json` holds, for a fixed grid of simulated scenarios, the
 move sequence (phase, kind, u, v, sorted C) and the final score of gies,
-gies-nt, gds and ges. The searches are deterministic, so a change to the
+gies-nt, gds and ges, plus gies and gds under a max_degree cap on the p = 12
+scenarios. The searches are deterministic, so a change to the
 search engine that keeps its behaviour must walk exactly the same moves and
 end on the same score. Re-record only when a change of behaviour is
 intended:
@@ -34,13 +35,18 @@ GRID = [
 ]
 
 
-def case_id(cfg: SimConfig, algo: str) -> str:
-    return f"{algo}-p{cfg.p}-s{cfg.s}-k{cfg.k}-n{cfg.n}-seed{cfg.seed}"
+def case_id(cfg: SimConfig, algo: str, max_degree: int | None = None) -> str:
+    cap = "" if max_degree is None else f"-maxdeg{max_degree}"
+    return f"{algo}{cap}-p{cfg.p}-s{cfg.s}-k{cfg.k}-n{cfg.n}-seed{cfg.seed}"
 
 
-def run_case(cfg: SimConfig, algo: str) -> dict:
+def run_case(cfg: SimConfig, algo: str, max_degree: int | None = None) -> dict:
     sim = simulate(cfg)
-    opts = GiesOptions(variant="gies-nt" if algo == "gies-nt" else "gies", trace=True)
+    opts = GiesOptions(
+        variant="gies-nt" if algo == "gies-nt" else "gies",
+        max_degree=max_degree,
+        trace=True,
+    )
     if algo == "gds":
         res = gds(sim.data, sim.fam, opts)
     elif algo == "ges":
@@ -51,7 +57,13 @@ def run_case(cfg: SimConfig, algo: str) -> dict:
     return {"moves": moves, "score": res.score}
 
 
-CASES = [(cfg, algo) for cfg in GRID for algo in ALGOS]
+CASES = [(cfg, algo, None) for cfg in GRID for algo in ALGOS] + [
+    (cfg, algo, max_degree)
+    for cfg in GRID
+    if cfg.p == 12
+    for algo in ("gies", "gds")
+    for max_degree in (2, 3)
+]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +72,7 @@ def golden() -> dict:
 
 
 def test_golden_file_covers_the_grid(golden):
-    assert set(golden) == {case_id(cfg, algo) for cfg, algo in CASES}
+    assert set(golden) == {case_id(*case) for case in CASES}
     # the grid exercises every phase and move kind
     kinds = {(m[0], m[1]) for case in golden.values() for m in case["moves"]}
     assert {("forward", "insert"), ("backward", "delete"),
@@ -68,17 +80,17 @@ def test_golden_file_covers_the_grid(golden):
 
 
 @pytest.mark.parametrize(
-    "cfg, algo", CASES, ids=[case_id(cfg, algo) for cfg, algo in CASES]
+    "cfg, algo, max_degree", CASES, ids=[case_id(*case) for case in CASES]
 )
-def test_search_walks_the_golden_trace(golden, cfg, algo):
-    want = golden[case_id(cfg, algo)]
-    got = run_case(cfg, algo)
+def test_search_walks_the_golden_trace(golden, cfg, algo, max_degree):
+    want = golden[case_id(cfg, algo, max_degree)]
+    got = run_case(cfg, algo, max_degree)
     assert got["moves"] == want["moves"]
     assert got["score"] == pytest.approx(want["score"], rel=1e-12)
 
 
 def record() -> None:
-    book = {case_id(cfg, algo): run_case(cfg, algo) for cfg, algo in CASES}
+    book = {case_id(*case): run_case(*case) for case in CASES}
     GOLDEN_PATH.write_text(json.dumps(book, indent=1, sort_keys=True) + "\n")
 
 

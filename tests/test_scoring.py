@@ -84,6 +84,25 @@ def test_read_csv_rejects_non_finite_values(tmp_path):
             InterventionalDataset.read_csv(path)
 
 
+def test_dataset_rejects_columns_whose_squares_overflow():
+    # every cell is finite, but the column's sum of squares is not: its
+    # local scores would be -inf and the turning deltas inf - inf
+    sim = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
+    X = sim.data.X.copy()
+    X[:, 2] *= 1e160
+    with pytest.raises(NonFiniteData, match="column x3 overflows"):
+        InterventionalDataset(X, sim.data.targets)
+    # the largest magnitudes whose squares still sum finitely are accepted
+    InterventionalDataset(np.full((4, 2), 1e153), [()] * 4)
+
+
+def test_read_csv_rejects_columns_whose_squares_overflow(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,target\n1.0,1e200,\n3.0,2.0,1\n")
+    with pytest.raises(NonFiniteData, match="column x2 overflows"):
+        InterventionalDataset.read_csv(path)
+
+
 def test_check_family():
     data = InterventionalDataset(np.zeros((3, 2)), [(), (1,), ()])
     data.check_family(TargetFamily([(), (1,)]))

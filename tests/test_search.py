@@ -22,6 +22,7 @@ from gieskit import (
     NotALine,
     NotAnArrow,
     NotAnEdge,
+    ScoreCache,
     ScoringError,
     SimConfig,
     TargetFamily,
@@ -50,6 +51,7 @@ from gieskit import (
     valid_turn_arrow,
     valid_turn_line,
 )
+from gieskit.search import _PHASE_KINDS, _candidates, _lazy_valid
 
 dag4_arrows = st.sampled_from(oracles.all_dag_arrow_sets(4))
 families4 = st.lists(
@@ -249,6 +251,26 @@ def test_moves_change_the_class(arrows, targets):
     e = essential_graph(Dag(4, arrows=arrows), fam).graph
     for kind, u, v, C in _all_valid_moves(e):
         assert APPLIES[kind](e, u, v, C, fam) != e, (kind, u, v, C)
+
+
+@settings(max_examples=25)
+@given(dag4_arrows, families4, st.integers(0, 2**16))
+def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed):
+    # the generator, after the deferred path checks, yields each valid move
+    # of a phase exactly once, scored exactly as the delta_* functions do
+    fam = TargetFamily(targets)
+    model = random_model(Dag(4, arrows=arrows), substream(seed, 0))
+    data = sample(model, fam, 240, substream(seed, 1))
+    cache = ScoreCache(data)
+    e = essential_graph(Dag(4, arrows=arrows), fam).graph
+    brute = _all_valid_moves(e)
+    for phase, kinds in _PHASE_KINDS.items():
+        got = [c for c in _candidates(e, kinds, data, cache) if _lazy_valid(e, c)]
+        moves = [(c.kind, c.u, c.v, c.C) for c in got]
+        assert len(set(moves)) == len(moves), phase
+        assert set(moves) == {m for m in brute if m[0] in kinds}, phase
+        for c in got:
+            assert c.delta == DELTAS[c.kind](e, c.u, c.v, c.C, data, cache), c
 
 
 # -- best_move -----------------------------------------------------------------
