@@ -5,10 +5,11 @@ gds hill-climbs in the space of DAGs with single-arrow insertions, deletions
 and reversals. It runs on the class-space search's own driver and candidate
 ranking: a DAG is a graph without lines, on which the class-space moves are
 exactly those single-arrow edits and their path conditions are the
-acyclicity checks; only the application differs, an in-place arrow edit
-instead of a move to the next essential graph. With a complete
-single-vertex intervention family every equivalence class is a singleton
-and the two searches coincide move for move. ges erases all intervention
+acyclicity checks; only the application differs: the in-place edge edit
+of the class-space moves alone, instead of a move to the next essential
+graph. With a complete single-vertex intervention family every
+equivalence class is a singleton and the two searches coincide move for
+move. ges erases all intervention
 labels and searches with the purely observational family. dp_exact
 maximizes the decomposable score over all DAGs by dynamic programming over
 vertex subsets (best-parent-set tables followed by a best-sink recursion),
@@ -21,15 +22,15 @@ from dataclasses import dataclass, field
 
 # has_path is no longer called here but stays importable from this module:
 # perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
-from .graphs import Dag, Graph, GraphError, has_path, is_acyclic  # noqa: F401
+from .graphs import Dag, GraphError, has_path, is_acyclic  # noqa: F401
 from .interventions import OBSERVATIONAL, TargetFamily, _require_conservative
 from .scoring import InterventionalDataset, ScoreCache, ScoringError, local_score
-from .search import (
+from .search import (  # noqa: F401
     GiesOptions,
     MoveCandidate,
-    MoveKind,
     SearchResult,
     SearchTrace,
+    _edit,
     gies,
     run_phases,
 )
@@ -62,19 +63,6 @@ class DpResult:
 # -- greedy DAG search ------------------------------------------------------
 
 
-def _edit_dag(g: Graph, move: MoveCandidate) -> Graph:
-    """Apply a DAG-space move in place: on a graph without lines every move
-    is a single insertion, deletion or reversal of an arrow."""
-    if move.kind == MoveKind.INSERT:
-        g._add_arrow(move.u, move.v)
-    elif move.kind == MoveKind.DELETE:
-        g._drop_edge(move.u, move.v)
-    else:
-        g._drop_edge(move.v, move.u)
-        g._add_arrow(move.u, move.v)
-    return g
-
-
 def gds(
     data: InterventionalDataset,
     fam: TargetFamily,
@@ -82,7 +70,7 @@ def gds(
 ) -> DagSearchResult:
     """Greedy DAG-space search from the empty DAG."""
     g, score, steps, trace = run_phases(
-        data, fam, options or GiesOptions(), _edit_dag, is_acyclic
+        data, fam, options or GiesOptions(), _edit, is_acyclic
     )
     return DagSearchResult(
         dag=Dag(data.p, arrows=g.arrows), score=score, steps=steps, trace=trace

@@ -77,16 +77,27 @@ def _emit_csv(rows: list[dict], fieldnames, args) -> None:
 def _parse_targets(text: str | None, data: InterventionalDataset | None = None):
     if text is not None:
         return TargetFamily.parse(text)
-    if data is not None:
-        # fall back to the distinct labels present in the dataset
-        return TargetFamily(dict.fromkeys(data.targets))
-    raise ValueError("--targets is required")
+    # fall back to the distinct labels present in the dataset
+    return TargetFamily(dict.fromkeys(data.targets))
 
 
 def _options(args) -> GiesOptions:
     return GiesOptions(
-        max_degree=args.max_degree, trace=bool(args.trace), penalty=args.penalty
+        max_degree=args.max_degree,
+        trace=bool(args.trace),
+        penalty=args.penalty or "total",
     )
+
+
+DP_FLAGS = ("max_p", "max_parents")
+# the fit flags each algorithm does not read
+UNREAD_FLAGS = {
+    "gies": DP_FLAGS,
+    "gies-nt": DP_FLAGS,
+    "gds": DP_FLAGS,
+    "ges": DP_FLAGS + ("targets",),  # ges erases the intervention labels
+    "dp": ("max_degree", "penalty", "trace"),
+}
 
 
 def _run_algo(algo, data, fam, opts, max_p=15, max_parents=None):
@@ -135,17 +146,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    for name in UNREAD_FLAGS[args.algo]:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} is not read by --algo {args.algo}")
     data = InterventionalDataset.read_csv(args.data)
     fam = _parse_targets(args.targets, data)
     opts = _options(args)
+    limits = {k: getattr(args, k) for k in DP_FLAGS if getattr(args, k) is not None}
     t0 = time.perf_counter()
-    graph, score, steps, trace = _run_algo(
-        args.algo, data, fam, opts, max_p=args.max_p, max_parents=args.max_parents
-    )
+    graph, score, steps, trace = _run_algo(args.algo, data, fam, opts, **limits)
     runtime = time.perf_counter() - t0
     if args.trace:
-        if trace is None:
-            raise ValueError(f"algorithm {args.algo!r} does not produce a trace")
         Path(args.trace).write_text(trace.to_jsonl() + "\n")
     _emit(graph.to_dict() | {
         "algo": args.algo, "score": score, "steps": steps, "runtime_s": runtime,
@@ -278,12 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets",
                     help='target family, e.g. "[]; [4]" (default: labels in data)')
     sp.add_argument("--algo", choices=ALGOS, default="gies")
-    sp.add_argument("--max-degree", type=int, default=None)
-    sp.add_argument("--penalty", choices=("total", "per-node"), default="total")
+    # the next five flags default to None, so that cmd_fit can reject one
+    # given to an algorithm that does not read it (UNREAD_FLAGS)
+    sp.add_argument("--max-degree", type=int)
+    sp.add_argument("--penalty", choices=("total", "per-node"),
+                    help="default: total")
     sp.add_argument("--trace", help="write the move trace as JSON lines")
-    sp.add_argument("--max-p", type=int, default=15, help="dp vertex limit")
-    sp.add_argument("--max-parents", type=int, default=None,
-                    help="dp parent-set cap")
+    sp.add_argument("--max-p", type=int, help="dp vertex limit (default: 15)")
+    sp.add_argument("--max-parents", type=int, help="dp parent-set cap")
     add_out(sp)
     sp.set_defaults(func=cmd_fit)
 

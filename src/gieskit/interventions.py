@@ -138,17 +138,20 @@ class TargetFamily:
     @classmethod
     def parse(cls, text: str) -> "TargetFamily":
         """Parse the inline CLI form "[]; [4]; [3,5]" or the JSON form
-        [[], [4], [3, 5]]."""
+        [[], [4], [3, 5]]; any other text raises GraphError."""
         text = text.strip()
         if not text:
             raise GraphError("empty target family text")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            data = None
-        if isinstance(data, list) and data and all(isinstance(t, list) for t in data):
-            return cls(data)
-        return cls(json.loads("[" + text.replace(";", ",") + "]"))
+        for form in (text, "[" + text.replace(";", ",") + "]"):
+            try:
+                data = json.loads(form)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(data, list) and data and all(
+                isinstance(t, list) and all(type(v) is int for v in t) for t in data
+            ):
+                return cls(data)
+        raise GraphError(f"target family {text!r} is not a list of vertex-id lists")
 
 
 @dataclass(frozen=True)

@@ -132,22 +132,43 @@ class InterventionalDataset:
     def read_csv(cls, path) -> "InterventionalDataset":
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
+            header = next(r, [])
             if not header or header[-1] != "target":
-                raise ScoringError("last CSV column must be 'target'")
+                raise ScoringError("line 1: last CSV column must be 'target'")
             p = len(header) - 1
             if header[:-1] != [f"x{j}" for j in range(1, p + 1)]:
-                raise ScoringError("CSV columns must be x1..xp,target")
+                raise ScoringError("line 1: CSV columns must be x1..xp,target")
             rows, targets = [], []
             for rec in r:
                 if not rec:
                     continue
                 if len(rec) != p + 1:
-                    raise ScoringError(f"row has {len(rec)} fields, expected {p + 1}")
-                rows.append([float(x) for x in rec[:p]])
-                cell = rec[p].strip()
-                targets.append([int(v) for v in cell.split(";")] if cell else [])
+                    raise ScoringError(
+                        f"line {r.line_num}: {len(rec)} fields, expected {p + 1}"
+                    )
+                try:
+                    rows.append([float(x) for x in rec[:p]])
+                    cell = rec[p].strip()
+                    targets.append([int(v) for v in cell.split(";")] if cell else [])
+                except ValueError:
+                    raise _cell_error(r.line_num, header, rec) from None
+            if not rows:
+                raise ScoringError("no data rows after the header on line 1")
         return cls(np.asarray(rows, dtype=np.float64), targets)
+
+
+def _cell_error(line: int, header: list[str], rec: list[str]) -> ScoringError:
+    """The error naming the first cell of a CSV record that does not parse."""
+    for column, cell in zip(header[:-1], rec):
+        try:
+            float(cell)
+        except ValueError:
+            return ScoringError(
+                f"line {line}, column {column}: {cell!r} is not a number"
+            )
+    return ScoringError(
+        f"line {line}, column target: {rec[-1]!r} is not a ';'-joined vertex list"
+    )
 
 
 def center_columns(data: InterventionalDataset) -> InterventionalDataset:

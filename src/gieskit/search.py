@@ -5,11 +5,13 @@ triple (u, v, C): C is a clique of line-neighbours of v describing how a
 representative DAG orients the lines at v before the single-edge change is
 made. Insert adds the arrow u -> v between non-adjacent vertices, delete
 removes the edge between u and v, and turn reverses an existing arrow
-v -> u (or orients a line) to u -> v. Each move kind has purely structural
-validity conditions, a score delta expressed through at most two local
-scores, and an application step that orients the affected chain components,
-performs the edge change, and relaxes unprotected arrows to reach the new
-class's essential graph.
+v -> u (or orients a line) to u -> v. Each kind has purely structural
+validity conditions. Beyond those, every kind changes the parent set of v
+(a turn also that of u) in a representative that orients C into v, so one
+score delta (`_delta`) and one application (`apply_move`) serve all four:
+the application orients the affected chain components, makes the
+single-edge change (`_edit`) and relaxes unprotected arrows to reach the
+new class's essential graph.
 
 The driver repeats three phases to a fixpoint each: forward (inserts),
 backward (deletes) and turning; the outer loop continues while backward or
@@ -19,8 +21,9 @@ They are ranked by score delta; exact ties fall back to the lexicographic
 key (kind, v, u, sorted C), so runs are deterministic. The path conditions
 are checked on this ranked walk only, and only strictly positive deltas are
 accepted. The same driver runs the DAG-space search of `baselines.gds`: a
-DAG is a graph without lines, on which every C is empty and the candidates
-are exactly the single-arrow insertions, deletions and reversals.
+DAG is a graph without lines, on which every C is empty, the candidates
+are exactly the single-arrow insertions, deletions and reversals, and
+`_edit` alone applies a move.
 """
 
 from __future__ import annotations
@@ -241,6 +244,39 @@ def valid_turn_arrow(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
 # -- score deltas -----------------------------------------------------------
 
 
+def _delta(
+    kind: MoveKind,
+    g: Graph,
+    u: int,
+    v: int,
+    C: frozenset[int],
+    data: InterventionalDataset,
+    cache: ScoreCache | None = None,
+) -> float:
+    """Score change of the move (u, v, C) of the kind: with B = pa(v) | C,
+    s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
+    s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
+    and P = pa(u) for a turn-arrow."""
+    B = frozenset(g._pa[v]) | C
+    terms = [
+        local_score(v, B | {u}, data, cache=cache),
+        -local_score(v, B - {u}, data, cache=cache),
+    ]
+    if kind is MoveKind.DELETE:
+        terms = [-t for t in terms]
+    elif kind is not MoveKind.INSERT:
+        P = frozenset(g._pa[u])
+        if kind is MoveKind.TURN_LINE:
+            P |= C & g._nb[v] & g.adjacent(u)
+        terms += (
+            local_score(u, P - {v}, data, cache=cache),
+            -local_score(u, P | {v}, data, cache=cache),
+        )
+    # fsum rounds the exact sum once: the reverse move's delta is exactly the
+    # negation, so score-neutral turns cannot cycle on rounding noise
+    return fsum(terms)
+
+
 def delta_insert(
     g: Graph,
     u: int,
@@ -249,11 +285,8 @@ def delta_insert(
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
 ) -> float:
-    C = frozenset(C)
-    base = frozenset(g._pa[v]) | C
-    return local_score(v, base | {u}, data, cache=cache) - local_score(
-        v, base, data, cache=cache
-    )
+    """Score change of inserting u -> v with C oriented into v."""
+    return _delta(MoveKind.INSERT, g, u, v, frozenset(C), data, cache)
 
 
 def delta_delete(
@@ -264,11 +297,9 @@ def delta_delete(
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
 ) -> float:
-    C = frozenset(C)
-    base = frozenset(g._pa[v]) | C
-    return local_score(v, base - {u}, data, cache=cache) - local_score(
-        v, base | {u}, data, cache=cache
-    )
+    """Score change of deleting the edge between u and v with C oriented
+    into v."""
+    return _delta(MoveKind.DELETE, g, u, v, frozenset(C), data, cache)
 
 
 def delta_turn_line(
@@ -279,18 +310,9 @@ def delta_turn_line(
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
 ) -> float:
-    C = frozenset(C)
-    CN = C & (g._nb[v] & g.adjacent(u))
-    base_v = frozenset(g._pa[v]) | C
-    base_u = frozenset(g._pa[u]) | CN
-    # fsum keeps the sign exact: the reverse move's delta is then exactly the
-    # negation, so score-neutral turns cannot cycle on rounding noise
-    return fsum((
-        local_score(v, base_v | {u}, data, cache=cache),
-        local_score(u, base_u, data, cache=cache),
-        -local_score(v, base_v, data, cache=cache),
-        -local_score(u, base_u | {v}, data, cache=cache),
-    ))
+    """Score change of turning the line u - v into u -> v with C oriented
+    into v."""
+    return _delta(MoveKind.TURN_LINE, g, u, v, frozenset(C), data, cache)
 
 
 def delta_turn_arrow(
@@ -301,18 +323,63 @@ def delta_turn_arrow(
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
 ) -> float:
-    C = frozenset(C)
-    base_v = frozenset(g._pa[v]) | C
-    pa_u = frozenset(g._pa[u])
-    return fsum((
-        local_score(v, base_v | {u}, data, cache=cache),
-        local_score(u, pa_u - {v}, data, cache=cache),
-        -local_score(v, base_v, data, cache=cache),
-        -local_score(u, pa_u, data, cache=cache),
-    ))
+    """Score change of reversing the arrow v -> u with C oriented into v."""
+    return _delta(MoveKind.TURN_ARROW, g, u, v, frozenset(C), data, cache)
 
 
 # -- application ------------------------------------------------------------
+
+
+_VALID: dict[MoveKind, Callable[..., bool]] = {
+    MoveKind.INSERT: valid_insert,
+    MoveKind.DELETE: valid_delete,
+    MoveKind.TURN_LINE: valid_turn_line,
+    MoveKind.TURN_ARROW: valid_turn_arrow,
+}
+
+
+def _edit(g: Graph, move: MoveCandidate) -> Graph:
+    """The single-edge change of a move, in place: insert adds u -> v,
+    delete drops the edge between u and v, and a turn does both."""
+    if move.kind is not MoveKind.INSERT:
+        g._drop_edge(move.u, move.v)
+    if move.kind is not MoveKind.DELETE:
+        g._add_arrow(move.u, move.v)
+    return g
+
+
+def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
+    """Essential graph of the class reached by making the move's edge change
+    on a representative and relaxing its unprotected arrows.
+
+    The representative orients v's chain component by a lexicographic BFS
+    seeded (C, v): (C, u, v) for a delete of a line, and (C, v, u) for a
+    turn-line, which for a valid move provably realizes the in-neighbourhoods
+    C at v and (C & N) | {v} at u (verified). A turn-arrow first orients u's
+    component from u, so that only v points into u.
+    """
+    kind, u, v, C = move.kind, move.u, move.v, move.C
+    if not _VALID[kind](g, u, v, C):
+        raise InvalidMove(f"{kind.name.lower()} ({u}, {v}, {sorted(C)}) is not valid")
+    h = g.copy()
+    if kind is MoveKind.TURN_ARROW:
+        comp_u = component_of(g, u)
+        _orient_component(h, comp_u, lexbfs([u], g, comp_u))
+    if kind is MoveKind.DELETE and u in g._nb[v]:
+        seed = [u, v]
+    elif kind is MoveKind.TURN_LINE:
+        seed = [v, u]
+    else:
+        seed = [v]
+    comp = component_of(g, v)
+    _orient_component(h, comp, lexbfs(sorted(C) + seed, g, comp))
+    if kind is MoveKind.TURN_LINE:
+        want_u = (C & (g._nb[v] & g.adjacent(u))) | {v}
+        if h._pa[v] & comp != C or h._pa[u] & comp != want_u:
+            raise InvalidMove(
+                f"no representative realizes turn_line ({u}, {v}, {sorted(C)})"
+            )
+    return replace_unprotected(_edit(h, move), fam)
 
 
 def apply_insert(
@@ -320,14 +387,7 @@ def apply_insert(
 ) -> Graph:
     """Essential graph of the class obtained by adding u -> v to a
     representative orienting C into v."""
-    C = frozenset(C)
-    if not valid_insert(g, u, v, C):
-        raise InvalidMove(f"insert ({u}, {v}, {sorted(C)}) is not valid")
-    h = g.copy()
-    comp = component_of(g, v)
-    _orient_component(h, comp, lexbfs(sorted(C) + [v], g, comp))
-    h._add_arrow(u, v)
-    return replace_unprotected(h, fam)
+    return apply_move(g, MoveCandidate(MoveKind.INSERT, u, v, frozenset(C), 0.0), fam)
 
 
 def apply_delete(
@@ -336,44 +396,17 @@ def apply_delete(
     """Essential graph of the class obtained by removing the edge between u
     and v from a representative orienting C (and u, if u - v is a line)
     into v."""
-    C = frozenset(C)
-    if not valid_delete(g, u, v, C):
-        raise InvalidMove(f"delete ({u}, {v}, {sorted(C)}) is not valid")
-    h = g.copy()
-    comp = component_of(g, v)
-    if u in g._nb[v]:
-        start = sorted(C) + [u, v]
-    else:
-        start = sorted(C) + [v]
-    _orient_component(h, comp, lexbfs(start, g, comp))
-    h._drop_edge(u, v)
-    return replace_unprotected(h, fam)
+    return apply_move(g, MoveCandidate(MoveKind.DELETE, u, v, frozenset(C), 0.0), fam)
 
 
 def apply_turn_line(
     g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
 ) -> Graph:
     """Essential graph of the class obtained by orienting the line u - v as
-    u -> v in a representative orienting C into v.
-
-    The representative orients v's chain component by a lexicographic BFS
-    seeded (C, v, u, ...); for a valid move that seed provably realizes the
-    in-neighbourhoods C at v and (C & N) | {v} at u, which is verified.
-    """
-    C = frozenset(C)
-    if not valid_turn_line(g, u, v, C):
-        raise InvalidMove(f"turn-line ({u}, {v}, {sorted(C)}) is not valid")
-    h = g.copy()
-    comp = component_of(g, v)
-    want_u = (C & (g._nb[v] & g.adjacent(u))) | {v}
-    _orient_component(h, comp, lexbfs(sorted(C) + [v, u], g, comp))
-    if h._pa[v] & comp != C or h._pa[u] & comp != want_u:
-        raise InvalidMove(
-            f"no representative realizes turn-line ({u}, {v}, {sorted(C)})"
-        )
-    h._drop_edge(u, v)
-    h._add_arrow(u, v)
-    return replace_unprotected(h, fam)
+    u -> v in a representative orienting C into v."""
+    return apply_move(
+        g, MoveCandidate(MoveKind.TURN_LINE, u, v, frozenset(C), 0.0), fam
+    )
 
 
 def apply_turn_arrow(
@@ -381,29 +414,9 @@ def apply_turn_arrow(
 ) -> Graph:
     """Essential graph of the class obtained by reversing the arrow v -> u
     in a representative orienting C into v and nothing into u."""
-    C = frozenset(C)
-    if not valid_turn_arrow(g, u, v, C):
-        raise InvalidMove(f"turn-arrow ({u}, {v}, {sorted(C)}) is not valid")
-    h = g.copy()
-    comp_u = component_of(g, u)
-    _orient_component(h, comp_u, lexbfs([u], g, comp_u))
-    comp_v = component_of(g, v)
-    _orient_component(h, comp_v, lexbfs(sorted(C) + [v], g, comp_v))
-    h._drop_edge(v, u)
-    h._add_arrow(u, v)
-    return replace_unprotected(h, fam)
-
-
-_APPLY: dict[MoveKind, Callable[..., Graph]] = {
-    MoveKind.INSERT: apply_insert,
-    MoveKind.DELETE: apply_delete,
-    MoveKind.TURN_LINE: apply_turn_line,
-    MoveKind.TURN_ARROW: apply_turn_arrow,
-}
-
-
-def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
-    return _APPLY[move.kind](g, move.u, move.v, move.C, fam)
+    return apply_move(
+        g, MoveCandidate(MoveKind.TURN_ARROW, u, v, frozenset(C), 0.0), fam
+    )
 
 
 # -- enumeration ------------------------------------------------------------
@@ -412,12 +425,6 @@ _PHASE_KINDS: dict[str, tuple[MoveKind, ...]] = {
     "forward": (MoveKind.INSERT,),
     "backward": (MoveKind.DELETE,),
     "turning": (MoveKind.TURN_LINE, MoveKind.TURN_ARROW),
-}
-# the insert delta is computed inline, sharing its u-independent term
-_DELTA: dict[MoveKind, Callable[..., float]] = {
-    MoveKind.DELETE: delta_delete,
-    MoveKind.TURN_LINE: delta_turn_line,
-    MoveKind.TURN_ARROW: delta_turn_arrow,
 }
 
 
@@ -448,7 +455,7 @@ def _candidates(
         nb_v = frozenset(g._nb[v])
         pa_v = frozenset(g._pa[v])
         pairs = [
-            (u, nb_v & ad[u], kind, _ADMITS[kind], _DELTA.get(kind))
+            (u, nb_v & ad[u], kind, _ADMITS[kind])
             for kind in kinds
             for u in _partners(g, kind, v, ad, cap)
         ]
@@ -456,32 +463,27 @@ def _candidates(
             continue
         for C in cliques_in_neighborhood(g, nb_v):
             base = None
-            for u, N, kind, admits, delta_of in pairs:
+            for u, N, kind, admits in pairs:
                 if not admits(g, nb_v, N, u, C):
                     continue
                 try:
-                    if delta_of is not None:
-                        delta = delta_of(g, u, v, C, data, cache)
-                    else:
+                    # the insert delta is _delta's, with its u-independent
+                    # term looked up once per C
+                    if kind is MoveKind.INSERT:
                         if base is None:
                             base = local_score(v, pa_v | C, data, cache=cache)
                         delta = local_score(v, pa_v | C | {u}, data, cache=cache) - base
+                    else:
+                        delta = _delta(kind, g, u, v, C, data, cache)
                 except ScoringError:
                     continue
                 yield MoveCandidate(kind, u, v, C, delta)
 
 
-# enumeration checks every condition except the path conditions of insert
-# and turn-arrow, which are deferred to the ranked walk
-_LAZY_VALID: dict[MoveKind, Callable[..., bool]] = {
-    MoveKind.INSERT: valid_insert,
-    MoveKind.TURN_ARROW: valid_turn_arrow,
-}
-
-
 def _lazy_valid(g: Graph, move: MoveCandidate) -> bool:
-    check = _LAZY_VALID.get(move.kind)
-    return check is None or check(g, move.u, move.v, move.C)
+    # the enumeration checks every condition except the path conditions of
+    # insert and turn-arrow, which are deferred to the ranked walk
+    return _VALID[move.kind](g, move.u, move.v, move.C)
 
 
 def best_move(
@@ -501,15 +503,10 @@ def best_move(
     if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
     ranked = sorted(
-        _candidates(g, kinds, data, cache, max_degree),
+        (c for c in _candidates(g, kinds, data, cache, max_degree) if c.delta > 0.0),
         key=lambda c: (-c.delta, c.key()),
     )
-    for cand in ranked:
-        if cand.delta <= 0.0:
-            return None
-        if _lazy_valid(g, cand):
-            return cand
-    return None
+    return next((c for c in ranked if _lazy_valid(g, c)), None)
 
 
 # -- driver -----------------------------------------------------------------

@@ -157,6 +157,32 @@ def test_fit_rejects_flags_it_does_not_read(sim_dir, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, flag", [
+    ("dp", ("--penalty", "per-node")),
+    ("dp", ("--max-degree", "2")),
+    ("dp", ("--trace", "t.jsonl")),
+    ("gies", ("--max-p", "12")),
+    ("gds", ("--max-parents", "2")),
+    ("ges", ("--max-p", "12")),
+    ("ges", ("--targets", "[]; [2]")),
+])
+def test_fit_rejects_flags_its_algorithm_ignores(tmp_path, capsys, algo, flag):
+    # checked before the data is read: the data file does not exist
+    code, stdout, err = run(capsys, "fit", "--data", str(tmp_path / "none.csv"),
+                            "--algo", algo, *flag)
+    assert code == 1 and stdout == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == f"{flag[0]} is not read by --algo {algo}"
+
+
+def test_fit_passes_the_dp_limits(sim_dir, capsys):
+    code, stdout, _ = run(capsys, "fit", "--data", str(sim_dir / "dataset.csv"),
+                          "--algo", "dp", "--max-p", "5", "--max-parents", "0")
+    assert code == 0
+    assert json.loads(stdout)["arrows"] == []
+
+
 def test_fit_reports_non_finite_data(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x1,x2,target\n1.0,2.0,\n3.0,nan,\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +85,12 @@ def test_target_family_serialization():
     assert TargetFamily.parse("[]; [4]; [3,5]") == fam
     with pytest.raises(GraphError):
         TargetFamily.parse("")
+
+
+@pytest.mark.parametrize("text", ["4", "[[1], 2]", "x", "[[1.5]]", '[["4"]]'])
+def test_target_family_parse_rejects_other_text(text):
+    with pytest.raises(GraphError, match=re.escape(repr(text))):
+        TargetFamily.parse(text)
 
 
 # -- intervention graphs ------------------------------------------------------

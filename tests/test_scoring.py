@@ -134,6 +134,21 @@ def test_read_csv_rejects_malformed(tmp_path):
         InterventionalDataset.read_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("", "line 1: last CSV column must be 'target'"),
+    ("x1,x2,target\n", "no data rows after the header on line 1"),
+    ("x1,x2,target\n1.0,2.0,\n3.0,abc,1\n", "line 3, column x2: 'abc' is not a number"),
+    ("x1,x2,target\n1.0,,\n", "line 2, column x2: '' is not a number"),
+    ("x1,x2,target\n1.0,2.0,1;a\n", "line 2, column target: '1;a' is not"),
+])
+def test_read_csv_names_the_bad_line_and_column(tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text(body)
+    with pytest.raises(ScoringError) as err:
+        InterventionalDataset.read_csv(path)
+    assert str(err.value).startswith(message)
+
+
 def test_center_columns():
     X = np.array([[1.0, 10.0], [3.0, 30.0], [100.0, -5.0]])
     data = InterventionalDataset(X, [(), (), (1,)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from math import fsum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from gieskit import (
     essential_graph,
     gies,
     is_essential_graph,
+    local_score,
     random_model,
     representative,
     sample,
@@ -271,6 +273,65 @@ def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed)
         assert set(moves) == {m for m in brute if m[0] in kinds}, phase
         for c in got:
             assert c.delta == DELTAS[c.kind](e, c.u, c.v, c.C, data, cache), c
+
+
+# The per-kind delta formulas that search._delta replaced, kept as its
+# reference: one subtraction for insert and delete, one fsum of four local
+# scores for the turns.
+
+
+def _ref_insert(e, u, v, C, data):
+    base = frozenset(e.parents(v)) | C
+    return local_score(v, base | {u}, data) - local_score(v, base, data)
+
+
+def _ref_delete(e, u, v, C, data):
+    base = frozenset(e.parents(v)) | C
+    return local_score(v, base - {u}, data) - local_score(v, base | {u}, data)
+
+
+def _ref_turn_line(e, u, v, C, data):
+    CN = C & (e.neighbors(v) & e.adjacent(u))
+    base_v = frozenset(e.parents(v)) | C
+    base_u = frozenset(e.parents(u)) | CN
+    return fsum((
+        local_score(v, base_v | {u}, data),
+        local_score(u, base_u, data),
+        -local_score(v, base_v, data),
+        -local_score(u, base_u | {v}, data),
+    ))
+
+
+def _ref_turn_arrow(e, u, v, C, data):
+    base_v = frozenset(e.parents(v)) | C
+    pa_u = frozenset(e.parents(u))
+    return fsum((
+        local_score(v, base_v | {u}, data),
+        local_score(u, pa_u - {v}, data),
+        -local_score(v, base_v, data),
+        -local_score(u, pa_u, data),
+    ))
+
+
+REFERENCE_DELTAS = {
+    MoveKind.INSERT: _ref_insert,
+    MoveKind.DELETE: _ref_delete,
+    MoveKind.TURN_LINE: _ref_turn_line,
+    MoveKind.TURN_ARROW: _ref_turn_arrow,
+}
+
+
+@settings(max_examples=25)
+@given(dag4_arrows, families4, st.integers(0, 2**16))
+def test_deltas_equal_the_reference_formulas(arrows, targets, seed):
+    fam = TargetFamily(targets)
+    model = random_model(Dag(4, arrows=arrows), substream(seed, 0))
+    data = sample(model, fam, 240, substream(seed, 1))
+    e = essential_graph(Dag(4, arrows=arrows), fam).graph
+    for kind, u, v, C in _all_valid_moves(e):
+        assert DELTAS[kind](e, u, v, C, data) == REFERENCE_DELTAS[kind](
+            e, u, v, C, data
+        ), (kind, u, v, C)
 
 
 # -- best_move -----------------------------------------------------------------
