@@ -110,6 +110,7 @@ def dp_exact(
         raise TooLarge(p, max_p)
     _require_conservative(fam, p)
     data.check_family(fam)
+    data.check_columns()
     cache = ScoreCache(data)
     if max_parents is None:
         cap = p - 1 if p <= 12 else 5
@@ -147,6 +148,7 @@ def dp_exact(
                 if own > best:
                     best, arg = own, S
             bl[S], bp[S] = best, arg
+    cache.check_clamps()
 
     # best_net[U]: best score of a DAG on the vertex set U; sink[U]: its
     # last vertex in topological order (smallest such vertex on ties)

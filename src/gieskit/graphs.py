@@ -17,7 +17,7 @@ import heapq
 import json
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -231,8 +231,24 @@ class Graph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Graph":
-        return cls(int(d["p"]), arrows=[tuple(e) for e in d.get("arrows", [])],
-                   lines=[tuple(e) for e in d.get("lines", [])])
+        """The graph of {"p": int, "arrows": [[a, b], ...], "lines": [...]}
+        (both edge lists optional, other keys ignored); raises GraphError
+        naming the field that is missing or malformed."""
+        p = d.get("p") if isinstance(d, dict) else None
+        if type(p) is not int:
+            raise GraphError(f"graph JSON needs an integer field 'p', got {p!r}")
+        edges = {}
+        for name in ("arrows", "lines"):
+            pairs = d.get(name, [])
+            for e in pairs if isinstance(pairs, list) else [pairs]:
+                if not (isinstance(e, list) and len(e) == 2
+                        and all(type(x) is int for x in e)):
+                    raise GraphError(
+                        f"graph field {name!r} must list [a, b] vertex-id "
+                        f"pairs; {e!r} is not one"
+                    )
+            edges[name] = [tuple(e) for e in pairs]
+        return cls(p, **edges)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(", ", ": "))
@@ -306,51 +322,65 @@ def v_structures(g: Graph) -> set[tuple[int, int, int]]:
     return out
 
 
+def _reach(
+    sources: Iterable[int], step: Callable[[int], Iterable[int]]
+) -> Iterator[int]:
+    """Every vertex reachable from `sources` by repeated `step`, sources
+    included, each yielded once as soon as it is found; the search goes no
+    further than the caller reads."""
+    seen = set(sources)
+    stack = list(seen)
+    yield from stack
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+                yield y
+
+
+def _kahn(succ: Sequence[Iterable[int]], cycle: str) -> list[int]:
+    """Kahn's algorithm on the nodes 1..len(succ)-1 with successor sets
+    `succ` (index 0 unused), smallest ready node first; raises
+    DirectedCycle with the message `cycle` if some node never gets ready."""
+    indeg = [0] * len(succ)
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
+    ready = [i for i in range(1, len(succ)) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != len(succ) - 1:
+        raise DirectedCycle(cycle)
+    return order
+
+
 def chain_components(g: Graph) -> list[frozenset[int]]:
     """Line-connected components in a topological order of the component
     quotient; raises DirectedCycle if g has a partially directed cycle."""
     comp_of = [0] * (g.p + 1)
-    comps: list[set[int]] = []
+    comps: list[frozenset[int]] = []
     for s in g.vertices:
-        if comp_of[s]:
-            continue
-        comps.append({s})
-        idx = len(comps)
-        comp_of[s] = idx
-        queue = deque([s])
-        while queue:
-            a = queue.popleft()
-            for b in g._nb[a]:
-                if not comp_of[b]:
-                    comp_of[b] = idx
-                    comps[idx - 1].add(b)
-                    queue.append(b)
-    n = len(comps)
-    succ: list[set[int]] = [set() for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    for a, b in ((a, b) for b in g.vertices for a in g._pa[b]):
-        ca, cb = comp_of[a], comp_of[b]
-        if ca == cb:
-            raise DirectedCycle(
-                f"arrow ({a}, {b}) inside a line-connected component"
-            )
-        if cb not in succ[ca]:
-            succ[ca].add(cb)
-            indeg[cb] += 1
-    # Kahn's algorithm, smallest component index first for determinism
-    ready = [i for i in range(1, n + 1) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[frozenset[int]] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(frozenset(comps[i - 1]))
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != n:
-        raise DirectedCycle("cycle in the component quotient graph")
-    return order
+        if not comp_of[s]:
+            comps.append(frozenset(_reach([s], g._nb.__getitem__)))
+            for a in comps[-1]:
+                comp_of[a] = len(comps)
+    succ: list[set[int]] = [set() for _ in range(len(comps) + 1)]
+    for b in g.vertices:
+        for a in g._pa[b]:
+            if comp_of[a] == comp_of[b]:
+                raise DirectedCycle(
+                    f"arrow ({a}, {b}) inside a line-connected component"
+                )
+            succ[comp_of[a]].add(comp_of[b])
+    return [comps[i - 1] for i in _kahn(succ, "cycle in the component quotient graph")]
 
 
 def is_acyclic(g: Graph) -> bool:
@@ -367,33 +397,12 @@ def topological_order(g: Graph) -> VertexOrdering:
     among the ready set; raises DirectedCycle."""
     if g.num_lines:
         raise NotUndirected("topological_order requires a fully directed graph")
-    indeg = [len(g._pa[v]) for v in range(g.p + 1)]
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in g._ch[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != g.p:
-        raise DirectedCycle("arrows contain a directed cycle")
-    return tuple(order)
+    return tuple(_kahn(g._ch, "arrows contain a directed cycle"))
 
 
 def component_of(g: Graph, v: int) -> frozenset[int]:
     """The line-connected component containing v."""
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        a = queue.popleft()
-        for b in g._nb[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return frozenset(seen)
+    return frozenset(_reach([v], g._nb.__getitem__))
 
 
 def _check_restriction(g: Graph, vertices: Iterable[int] | None) -> set[int]:
@@ -417,12 +426,13 @@ def lexbfs(
     """Lexicographic breadth-first search over the lines of g, restricted to
     `vertices` (default: all).
 
-    The search keeps a sequence of FIFO buckets, emits the front vertex of
-    the front bucket, and splits each bucket into (neighbours of the emitted
-    vertex, rest), preserving relative order. `start_order` seeds the initial
-    bucket: its vertices come first, remaining vertices follow in ascending
-    id, so the first emitted vertex is start_order[0] and ties are broken by
-    seed position throughout.
+    Each vertex carries a label: the negated emission positions of its
+    emitted neighbours, in emission order. The vertex with the largest label
+    (lists compared lexicographically, so an earlier emitted neighbour
+    outweighs any later ones) goes next. `start_order` seeds the ties: its
+    vertices come first, remaining vertices follow in ascending id, so the
+    first emitted vertex is start_order[0] and ties are broken by seed
+    position throughout.
     """
     vs = _check_restriction(g, vertices)
     start = list(start_order)
@@ -431,35 +441,25 @@ def lexbfs(
     for v in start:
         if v not in vs:
             raise GraphError(f"start vertex {v} not in the searched vertex set")
-    seed = start + sorted(vs - set(start))
-    if not seed:
-        return ()
-    buckets: list[list[int]] = [seed]
+    remaining = start + sorted(vs - set(start))
+    label: dict[int, list[int]] = {v: [] for v in remaining}
     out: list[int] = []
-    while buckets:
-        front = buckets[0]
-        a = front.pop(0)
-        if not front:
-            buckets.pop(0)
+    while remaining:
+        # max keeps the first of equal labels, i.e. the earliest seed
+        a = max(remaining, key=label.__getitem__)
+        remaining.remove(a)
         out.append(a)
-        nxt: list[list[int]] = []
-        for bucket in buckets:
-            moved = [b for b in bucket if b in g._nb[a]]
-            if not moved:
-                nxt.append(bucket)
-                continue
-            rest = [b for b in bucket if b not in g._nb[a]]
-            nxt.append(moved)
-            if rest:
-                nxt.append(rest)
-        buckets = nxt
+        for b in g._nb[a]:
+            if b in label:
+                label[b].append(-len(out))
     return tuple(out)
 
 
 def _orient_component(h: Graph, comp: Iterable[int], order: Sequence[int]) -> None:
     """Orient, in place, every line of h inside the chain component comp
-    from its earlier to its later endpoint in `order` (a lexBFS order of
-    comp, so the orientation has no cycle and no v-structure)."""
+    from its earlier to its later endpoint in `order`, which lists comp (for
+    a lexBFS order of a chordal comp the orientation has no cycle and no
+    v-structure)."""
     pos = {x: i for i, x in enumerate(order)}
     for a in comp:
         for b in list(h._nb[a]):
@@ -499,13 +499,11 @@ def orient_by(ordering: Sequence[int], g: Graph) -> Dag:
     later endpoint of `ordering` (a permutation of 1..p)."""
     if not g.is_undirected():
         raise NotUndirected("orient_by requires an undirected graph")
-    pos = {v: i for i, v in enumerate(ordering)}
-    if sorted(pos) != list(g.vertices) or len(ordering) != g.p:
+    if sorted(ordering) != list(g.vertices):
         raise GraphError("ordering must be a permutation of 1..p")
-    arrows = []
-    for a, b in g.lines:
-        arrows.append((a, b) if pos[a] < pos[b] else (b, a))
-    return Dag(g.p, arrows=arrows)
+    h = g.copy()
+    _orient_component(h, g.vertices, ordering)
+    return Dag(g.p, arrows=h.arrows)
 
 
 def has_path(

@@ -19,19 +19,22 @@ sweep order.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from numbers import Integral
+from typing import Iterator
 
 from .graphs import (
     Dag,
+    DirectedCycle,
     Graph,
     GraphError,
     NotAnArrow,
     _orient_component,
+    _reach,
     as_chain_graph,
     chain_components,
-    is_acyclic,
     is_chordal,
     lexbfs,
     skeleton,
@@ -68,11 +71,15 @@ class TargetFamily:
     def __init__(self, targets: Iterable[Iterable[int]] = ()):
         members = []
         for t in targets:
-            t = frozenset(int(v) for v in t)
+            if isinstance(t, (str, bytes)) or not isinstance(t, Iterable):
+                raise GraphError(f"target {t!r} is not a collection of vertex ids")
+            t = list(t)
             for v in t:
+                if isinstance(v, bool) or not isinstance(v, Integral):
+                    raise GraphError(f"target {t!r}: {v!r} is not an integer vertex id")
                 if v < 1:
                     raise GraphError(f"target vertex {v} is not a positive id")
-            members.append(t)
+            members.append(frozenset(int(v) for v in t))
         self.members: tuple[Target, ...] = tuple(members)
 
     def __iter__(self) -> Iterator[Target]:
@@ -145,12 +152,10 @@ class TargetFamily:
         for form in (text, "[" + text.replace(";", ",") + "]"):
             try:
                 data = json.loads(form)
-            except json.JSONDecodeError:
+                if isinstance(data, list) and data:
+                    return cls(data)
+            except (json.JSONDecodeError, GraphError):
                 continue
-            if isinstance(data, list) and data and all(
-                isinstance(t, list) and all(type(v) is int for v in t) for t in data
-            ):
-                return cls(data)
         raise GraphError(f"target family {text!r} is not a list of vertex-id lists")
 
 
@@ -283,9 +288,11 @@ def is_essential_graph(g: Graph, fam: TargetFamily) -> EssentialityReport:
     whose endpoints are separated by a target, all arrows strongly
     protected."""
     _require_conservative(fam, g.p)
-    if not is_acyclic(g):
+    try:
+        comps = chain_components(g)
+    except DirectedCycle:
         return EssentialityReport(False, "chain-graph", "partially directed cycle")
-    for comp in chain_components(g):
+    for comp in comps:
         if not is_chordal(g, comp):
             return EssentialityReport(
                 False, "chordal-components",
@@ -337,18 +344,6 @@ def _component_orientations(
     ch: dict[int, set[int]] = {v: set() for v in comp}
     pa: dict[int, set[int]] = {v: set() for v in comp}
 
-    def reaches(src: int, dst: int) -> bool:
-        stack, seen = [src], {src}
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                return True
-            for y in ch[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
-
     def assign(i: int) -> None:
         if i == len(edges):
             out.append(tuple((x, y) for x in sorted(comp) for y in sorted(ch[x])))
@@ -358,7 +353,7 @@ def _component_orientations(
         a, b = edges[i]
         for tail, head in ((a, b), (b, a)):
             # no directed cycle, and no second non-adjacent parent
-            if reaches(head, tail):
+            if tail in _reach([head], ch.__getitem__):
                 continue
             if any(not g.is_adjacent(z, tail) for z in pa[head]):
                 continue

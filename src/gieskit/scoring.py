@@ -52,6 +52,14 @@ class NonFiniteData(ScoringError):
     """The sample matrix holds a NaN or infinite value."""
 
 
+class DegenerateColumns(ScoringError):
+    """A sample column is constant or repeats another column."""
+
+
+class DegenerateFit(ScoringError):
+    """A learner's fit left a residual variance below VARIANCE_FLOOR."""
+
+
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row."""
 
@@ -115,6 +123,25 @@ class InterventionalDataset:
                 f"family members {sorted(map(sorted, missing))} label no row"
             )
 
+    def check_columns(self) -> None:
+        """Reject constant columns, which carry no information about any
+        mechanism (a zero column fits exactly with no parents), and columns
+        equal to an earlier one, which fit each other exactly: the clamped
+        zero residual variance of an exact fit outweighs every other term
+        of the score."""
+        cols = self.X.T + 0.0  # adding 0.0 turns -0.0 into 0.0
+        constant = [f"x{j}" for j, c in enumerate(cols, 1) if (c == c[:1]).all()]
+        if constant:
+            raise DegenerateColumns(f"constant columns: {', '.join(constant)}")
+        first: dict[bytes, int] = {}
+        repeats = []
+        for j, c in enumerate(cols, 1):
+            i = first.setdefault(c.tobytes(), j)
+            if i != j:
+                repeats.append(f"x{j} = x{i}")
+        if repeats:
+            raise DegenerateColumns(f"duplicated columns: {', '.join(repeats)}")
+
     def erase_targets(self) -> "InterventionalDataset":
         """The same samples relabelled as purely observational."""
         return InterventionalDataset(self.X, [()] * self.n)
@@ -138,7 +165,7 @@ class InterventionalDataset:
             p = len(header) - 1
             if header[:-1] != [f"x{j}" for j in range(1, p + 1)]:
                 raise ScoringError("line 1: CSV columns must be x1..xp,target")
-            rows, targets = [], []
+            rows, targets, lines = [], [], []
             for rec in r:
                 if not rec:
                     continue
@@ -152,9 +179,17 @@ class InterventionalDataset:
                     targets.append([int(v) for v in cell.split(";")] if cell else [])
                 except ValueError:
                     raise _cell_error(r.line_num, header, rec) from None
+                lines.append(r.line_num)
             if not rows:
                 raise ScoringError("no data rows after the header on line 1")
-        return cls(np.asarray(rows, dtype=np.float64), targets)
+        X = np.asarray(rows, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            row, col = bad[0]
+            raise NonFiniteData(
+                f"line {lines[row]}, column {header[col]}: {X[row, col]} is not finite"
+            )
+        return cls(X, targets)
 
 
 def _cell_error(line: int, header: list[str], rec: list[str]) -> ScoringError:
@@ -191,6 +226,19 @@ class ScoreCache:
         self.hits = 0
         self.misses = 0
         self.variance_clamps = 0
+
+    def check_clamps(self) -> None:
+        """Raise DegenerateFit once some fit has been clamped. A clamped
+        score is no longer equal on equivalent DAGs, so a class-space search
+        could accept a move and its reverse forever, and any learner would
+        rank graphs by the floor instead of the data."""
+        if self.variance_clamps:
+            raise DegenerateFit(
+                f"residual variance below {VARIANCE_FLOOR:g} in "
+                f"{self.variance_clamps} fit(s), each logged with its vertex: a "
+                "column is numerically a linear function of others, or of "
+                "negligible scale"
+            )
 
 
 def _fit(

@@ -43,6 +43,7 @@ from .graphs import (
     NotAnEdge,
     VerticesAdjacent,
     _orient_component,
+    _reach,
     as_chain_graph,
     cliques_in_neighborhood,
     component_of,
@@ -152,20 +153,8 @@ def _neighborhood_separated(
 ) -> bool:
     """Whether every path inside g[domain] from side_a to side_b passes
     through the separator (empty sides are trivially separated)."""
-    if not side_a or not side_b:
-        return True
     allowed = domain - separator
-    seen = set(side_a)
-    stack = list(side_a)
-    while stack:
-        x = stack.pop()
-        if x in side_b:
-            return False
-        for y in g._nb[x]:
-            if y in allowed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False if seen & side_b else True
+    return side_b.isdisjoint(_reach(side_a, lambda x: g._nb[x] & allowed))
 
 
 # -- validity ---------------------------------------------------------------
@@ -529,9 +518,11 @@ def run_phases(
         raise GraphError(f"unknown variant {opts.variant!r}")
     _require_conservative(fam, data.p)
     data.check_family(fam)
+    data.check_columns()
     cache = ScoreCache(data, penalty=opts.penalty)
     g: Graph = Graph(data.p)
     score = total_score(Dag(data.p), data, cache=cache)
+    cache.check_clamps()
     trace = SearchTrace() if opts.trace else None
     steps = 0
 
@@ -540,6 +531,7 @@ def run_phases(
         changed = False
         while True:
             move = best_move(g, phase, data, cache=cache, max_degree=opts.max_degree)
+            cache.check_clamps()
             if move is None:
                 return changed
             g = apply(g, move)

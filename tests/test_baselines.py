@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import logging
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gieskit import (
     Dag,
     DagSearchResult,
+    DegenerateColumns,
+    DegenerateFit,
     DpResult,
     GiesOptions,
     GraphError,
+    InterventionalDataset,
     NonConservativeFamily,
     ScoringError,
     SimConfig,
@@ -156,3 +163,88 @@ def test_dp_exact_is_deterministic():
     a = dp_exact(SIM4.data, SIM4.fam)
     b = dp_exact(SIM4.data, SIM4.fam)
     assert a.dag == b.dag and a.score == b.score
+
+
+# -- data no learner can score ---------------------------------------------------
+
+
+def _learners(fam):
+    """Each learner as a call on a dataset, by its CLI name."""
+    return {
+        "gies": lambda data: gies(data, fam),
+        "gies-nt": lambda data: gies(data, fam, GiesOptions(variant="gies-nt")),
+        "ges": ges,
+        "gds": lambda data: gds(data, fam),
+        "dp": lambda data: dp_exact(data, fam),
+    }
+
+
+SIM6_N300 = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
+
+
+def _duplicate_x3_as_x5(X):
+    X[:, 4] = X[:, 2]
+
+
+def _zero_x2(X):
+    X[:, 1] = 0.0
+
+
+@pytest.mark.parametrize("algo", ["gies", "gies-nt", "ges", "gds", "dp"])
+@pytest.mark.parametrize("edit, named", [
+    (_duplicate_x3_as_x5, "duplicated columns: x5 = x3"),
+    (_zero_x2, "constant columns: x2"),
+], ids=["duplicated", "constant"])
+def test_learners_reject_constant_and_duplicated_columns(algo, edit, named, caplog):
+    # without the check each column lets a regression fit exactly, and the
+    # clamped zero variance scores the result at about +3500 instead of -382
+    X = SIM6_N300.data.X.copy()
+    edit(X)
+    data = InterventionalDataset(X, SIM6_N300.data.targets)
+    with caplog.at_level(logging.WARNING, logger="gieskit.scoring"):
+        with pytest.raises(DegenerateColumns, match=named):
+            _learners(SIM6_N300.fam)[algo](data)
+    assert not caplog.records  # rejected before any fit
+    assert issubclass(DegenerateColumns, ScoringError)
+
+
+@pytest.mark.parametrize("algo", ["gies", "gies-nt", "ges", "gds", "dp"])
+def test_learners_reject_fits_clamped_at_the_variance_floor(algo):
+    # x2 = 1e-7 z has a variance below the floor, so s(2, {}) and s(2, {1})
+    # are both clamped while s(1, {2}) is a real fit: without the check the
+    # class-space search inserts 2 -> 1 and deletes it as 1 -> 2, each a
+    # gain, forever
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(50)
+    X = np.column_stack([z + 0.5 * rng.standard_normal(50), 1e-7 * z])
+    data = InterventionalDataset(X, [()] * 50)
+    with pytest.raises(DegenerateFit, match="below 1e-12"):
+        _learners(TargetFamily([()]))[algo](data)
+
+
+@st.composite
+def raw_datasets(draw):
+    """Observational datasets with arbitrary finite cells: tiny n, and
+    columns that are exact or nearly exact multiples of earlier ones."""
+    p = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    cells = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(
+        st.lists(cells, min_size=p, max_size=p), min_size=n, max_size=n
+    )))
+    for j in range(1, p):
+        noise = draw(st.sampled_from([None, 0.0, 1e-13, 1e-9, 1e-6]))
+        if noise is not None:
+            i = draw(st.integers(0, j - 1))
+            X[:, j] = X[:, i] * draw(st.floats(-2, 2)) + noise * X[:, j]
+    return InterventionalDataset(X, [()] * n)
+
+
+@settings(max_examples=80)
+@given(raw_datasets())
+def test_learners_raise_only_scoring_errors_on_raw_matrices(data):
+    for algo in ("gies", "gds", "dp"):
+        try:
+            _learners(TargetFamily([()]))[algo](data)
+        except ScoringError:
+            pass

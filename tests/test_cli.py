@@ -199,7 +199,31 @@ def test_fit_reports_overflowing_squares(tmp_path, capsys):
     assert json.loads(err)["error"] == "NonFiniteData"
 
 
+def test_fit_reports_duplicated_columns(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,x3,target\n1.0,2.0,1.0,\n3.0,-1.0,3.0,\n0.5,4.0,0.5,\n")
+    for algo in ("gies", "gds", "dp"):
+        code, stdout, err = run(capsys, "fit", "--data", str(path), "--algo", algo)
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {
+            "error": "DegenerateColumns", "message": "duplicated columns: x3 = x1",
+        }
+
+
 # -- essential / equiv / representatives ----------------------------------------
+
+
+@pytest.mark.parametrize("graph, field", [
+    ({"arrows": [[1, 2]]}, "'p'"),
+    ({"p": 3, "arrows": [[1]]}, "'arrows'"),
+])
+def test_essential_names_the_malformed_graph_field(tmp_path, capsys, graph, field):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(graph))
+    code, stdout, err = run(capsys, "essential", "--dag", str(path), "--targets", "[]")
+    assert code == 1 and stdout == ""
+    payload = json.loads(err)
+    assert payload["error"] == "GraphError" and field in payload["message"]
 
 
 def test_essential_matches_the_library(tmp_path, capsys):
@@ -326,6 +350,22 @@ def test_sweep_json_format(capsys):
     assert code == 0
     rows = json.loads(stdout)
     assert len(rows) == 1 and set(rows[0]) == set(SWEEP_COLUMNS)
+
+
+def test_sweep_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
+    argv = ("sweep", "--p", "4", "--s", "0.5", "--k", "0", "2", "--m", "1",
+            "--n", "150", "--algo", "gies", "gies-nt", "gds", "ges", "dp",
+            "--seed", "3")
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GIESKIT_THREADS", threads)
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        rows[threads] = json.loads(stdout)
+        for row in rows[threads]:
+            del row["runtime_s"]
+    assert len(rows["1"]) == 10
+    assert rows["1"] == rows["2"]
 
 
 # -- error handling and entry point ----------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cases
 import oracles
@@ -138,6 +138,30 @@ def test_copy_is_a_plain_mutable_graph():
     assert h == Graph(7, arrows=d.arrows)
     h._drop_edge(2, 1)
     assert d.has_arrow(2, 1)
+
+
+@pytest.mark.parametrize("d, field", [
+    ({"arrows": [[1, 2]]}, "'p'"),
+    ({"p": "3"}, "'p'"),
+    ({"p": 3.0}, "'p'"),
+    ({"p": True}, "'p'"),
+    ({"p": 3, "arrows": [[1]]}, "'arrows'"),
+    ({"p": 3, "arrows": [[1, 2, 3]]}, "'arrows'"),
+    ({"p": 3, "arrows": {"1": 2}}, "'arrows'"),
+    ({"p": 3, "lines": [[1, 2.0]]}, "'lines'"),
+    ({"p": 3, "lines": [["1", "2"]]}, "'lines'"),
+    ({"p": 3, "lines": [1, 2]}, "'lines'"),
+])
+def test_from_dict_names_the_malformed_field(d, field):
+    for cls in (Graph, Dag):
+        with pytest.raises(GraphError, match=field):
+            cls.from_dict(d)
+
+
+@pytest.mark.parametrize("text", ["[[1, 2]]", "5", "null"])
+def test_from_dict_rejects_a_non_object(text):
+    with pytest.raises(GraphError, match="'p'"):
+        Graph.from_json(text)
 
 
 def test_json_round_trip():
@@ -318,3 +342,48 @@ def test_orienting_a_chordal_graph_preserves_its_class(g):
     d = orient_by(order, g)
     assert oracles.v_structures(d) == set()
     assert oracles.is_acyclic_arrows(d.p, d.arrows)
+
+
+def _bucket_lexbfs(start_order, g, vertices=None):
+    """The bucket-refinement LexBFS that the label definition in lexbfs
+    replaced, kept as its reference: emit the front vertex of the front
+    bucket, then split every bucket into (neighbours of it, rest)."""
+    vs = set(g.vertices) if vertices is None else set(vertices)
+    start = list(start_order)
+    seed = start + sorted(vs - set(start))
+    buckets = [seed] if seed else []
+    out = []
+    while buckets:
+        front = buckets[0]
+        a = front.pop(0)
+        if not front:
+            buckets.pop(0)
+        out.append(a)
+        nxt = []
+        for bucket in buckets:
+            moved = [b for b in bucket if g.has_line(a, b)]
+            rest = [b for b in bucket if not g.has_line(a, b)]
+            nxt.extend(part for part in (moved, rest) if part)
+        buckets = nxt
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(mixed_graphs(max_p=8), st.data())
+def test_lexbfs_matches_bucket_refinement(g, data):
+    # a restriction may hold no arrow, so grow one from a random vertex order
+    vs = []
+    for v in data.draw(st.permutations(list(g.vertices))):
+        if data.draw(st.booleans()) and not (g.parents(v) | g.children(v)) & set(vs):
+            vs.append(v)
+    start = data.draw(st.permutations(vs))[: data.draw(st.integers(0, len(vs)))]
+    assert lexbfs(start, g, vs) == _bucket_lexbfs(start, g, vs)
+    sk = skeleton(g)
+    start = data.draw(st.permutations(list(g.vertices)))[: data.draw(st.integers(1, g.p))]
+    assert lexbfs(start, sk) == _bucket_lexbfs(start, sk)
+
+
+@given(interval_graphs(), st.data())
+def test_lexbfs_matches_bucket_refinement_on_chordal_graphs(g, data):
+    start = data.draw(st.permutations(list(g.vertices)))[: data.draw(st.integers(0, g.p))]
+    assert lexbfs(start, g) == _bucket_lexbfs(start, g)

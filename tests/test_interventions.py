@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +60,27 @@ def test_target_family_validation():
     TargetFamily([(9,)]).check_vertices(9)
     with pytest.raises(GraphError):
         TargetFamily([(9,)]).check_vertices(8)
+
+
+@pytest.mark.parametrize("targets", [
+    [4], [[1], 2], ["12"], [b"1"], [[1.5]], [[1.0]], [[True]], [["4"]], [[None]],
+])
+def test_target_family_rejects_malformed_members(targets):
+    with pytest.raises(GraphError, match="target"):
+        TargetFamily(targets)
+
+
+@pytest.mark.parametrize("text", ["[[1.5]]", '[["4"]]', "[4]", "[[true]]"])
+def test_target_family_from_json_rejects_malformed_members(text):
+    with pytest.raises(GraphError):
+        TargetFamily.from_json(text)
+
+
+def test_target_family_accepts_any_collection_of_integer_ids():
+    want = TargetFamily([[1, 3], [2]])
+    assert TargetFamily([(3, 1), {2}]) == want
+    assert TargetFamily([frozenset({1, 3}), iter([2])]) == want
+    assert TargetFamily([np.array([1, 3]), [np.int64(2)]]) == want
 
 
 def test_conservative():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import oracles
 from gieskit import (
     Dag,
+    DegenerateColumns,
     Graph,
     InsufficientSamples,
     InterventionalDataset,
@@ -80,8 +81,32 @@ def test_read_csv_rejects_non_finite_values(tmp_path):
     for cell in ("nan", "inf", "-inf"):
         path = tmp_path / "d.csv"
         path.write_text(f"x1,x2,target\n1.0,2.0,\n3.0,{cell},1\n")
-        with pytest.raises(NonFiniteData, match="row 2, column x2"):
+        with pytest.raises(NonFiniteData, match="line 3, column x2"):
             InterventionalDataset.read_csv(path)
+
+
+def test_read_csv_counts_blank_lines_in_the_line_number(tmp_path):
+    # blank lines are skipped, so the data row index would name line 3
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x2,target\n\n1.0,2.0,\n\n3.0,nan,1\n")
+    with pytest.raises(NonFiniteData, match="line 5, column x2"):
+        InterventionalDataset.read_csv(path)
+
+
+def test_check_columns():
+    DATA5.check_columns()
+    X = np.array([[1.0, 0.0, 2.0], [2.0, -0.0, 2.0], [3.0, 1.0, 2.0]])
+    with pytest.raises(DegenerateColumns, match="constant columns: x3$"):
+        InterventionalDataset(X, [()] * 3).check_columns()
+    X[:, 2] = [1.0, 2.0, 3.0]
+    with pytest.raises(DegenerateColumns, match="duplicated columns: x3 = x1$"):
+        InterventionalDataset(X, [()] * 3).check_columns()
+    # a signed zero does not make two equal columns differ
+    X[:, 2] = [0.0, 0.0, 1.0]
+    with pytest.raises(DegenerateColumns, match="x3 = x2"):
+        InterventionalDataset(X, [()] * 3).check_columns()
+    X[:, 2] = [0.0, 0.0, 1.5]
+    InterventionalDataset(X, [()] * 3).check_columns()
 
 
 def test_dataset_rejects_columns_whose_squares_overflow():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from math import fsum
 
 import pytest
@@ -39,6 +40,7 @@ from gieskit import (
     delta_turn_arrow,
     delta_turn_line,
     essential_graph,
+    ges,
     gies,
     is_essential_graph,
     local_score,
@@ -385,6 +387,27 @@ def test_gies_score_bookkeeping():
         running += entry.delta
         assert entry.score == pytest.approx(running)
     assert len(res.trace.entries) == res.steps
+
+
+@settings(max_examples=20)
+@given(
+    st.integers(3, 6),
+    st.integers(0, 2),
+    st.integers(0, 2**16),
+    st.sampled_from(["total", "per-node"]),
+)
+def test_reported_score_is_the_total_score_of_a_representative(p, k, seed, penalty):
+    # per-node differs from total only through the rows a target removes
+    sim = simulate(SimConfig(p=p, s=0.4, k=k, m=1, n=200, seed=seed))
+    opts = GiesOptions(penalty=penalty)
+    runs = [
+        (gies(sim.data, sim.fam, replace(opts, variant=v)), sim.data)
+        for v in ("gies", "gies-nt")
+    ]
+    runs.append((ges(sim.data, opts), sim.data.erase_targets()))
+    for res, data in runs:
+        rescored = total_score(representative(res.graph), data, penalty=penalty)
+        assert res.score == pytest.approx(rescored, rel=1e-9)
 
 
 def test_gies_is_deterministic():
