@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """SHD of each learner against the truth as interventions are added.
 
-Simulates replicated scenarios per number of targets k, fits every
-requested algorithm, and reports median SHD to the true DAG. DAG-valued
-estimates are converted to their essential graphs before comparison.
+Runs `gieskit sweep` over replicated scenarios per number of targets k for
+every requested algorithm, writes its CSV rows to --out, and reports the
+median SHD to the true DAG. The sweep compares the DAG-valued estimates
+(gds, dp) by their essential graphs, as it does the class learners'.
+GIESKIT_THREADS parallelizes the rows, as for `gieskit sweep`.
 """
 
 from __future__ import annotations
@@ -12,19 +14,11 @@ import argparse
 import csv
 import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gieskit import Dag, GiesOptions, SimConfig, essential_graph, shd, simulate
-from gieskit.cli import _run_algo
-
-
-def fit(algo, data, fam):
-    graph = _run_algo(algo, data, fam, GiesOptions())[0]
-    # gds and dp estimate a DAG: compare its class, as for the class learners
-    return essential_graph(graph, fam).graph if isinstance(graph, Dag) else graph
+from gieskit import cli
 
 
 def main() -> int:
@@ -40,26 +34,19 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="comparison.csv")
     args = ap.parse_args()
+    if args.replicates < 1:
+        ap.error("--replicates must be at least 1")
 
-    rows = []
-    for k in args.k:
-        cfg = SimConfig(p=args.p, s=args.s, k=k, m=args.m, n=args.n,
-                        seed=args.seed)
-        for r in range(args.replicates):
-            sim = simulate(cfg, replicate=r)
-            for algo in args.algo:
-                t0 = time.perf_counter()
-                est = fit(algo, sim.data, sim.fam)
-                rows.append({
-                    "k": k, "replicate": r, "algo": algo,
-                    "shd": shd(est, sim.dag).shd,
-                    "runtime_s": round(time.perf_counter() - t0, 4),
-                })
-
-    with open(args.out, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    status = cli.main([
+        "sweep", "--p", str(args.p), "--s", str(args.s), "--m", str(args.m),
+        "--n", str(args.n), "--k", *map(str, args.k), "--algo", *args.algo,
+        "--replicates", str(args.replicates), "--seed", str(args.seed),
+        "--format", "csv", "--out", args.out,
+    ])
+    if status:
+        return status
+    with open(args.out, newline="") as f:
+        rows = list(csv.DictReader(f))
 
     print(f"p={args.p} s={args.s} m={args.m} n={args.n},"
           f" {args.replicates} replicates -> {args.out}")
@@ -69,7 +56,8 @@ def main() -> int:
     for algo in args.algo:
         meds = [
             statistics.median(
-                r["shd"] for r in rows if r["algo"] == algo and r["k"] == k
+                int(r["shd"]) for r in rows
+                if r["algo"] == algo and int(r["k"]) == k
             )
             for k in args.k
         ]

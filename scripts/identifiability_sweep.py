@@ -34,6 +34,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="identifiability.csv")
     args = ap.parse_args()
+    if args.dags < 1:
+        ap.error("--dags must be at least 1")
 
     ks = [round(f * args.p) for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
     rows = []

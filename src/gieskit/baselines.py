@@ -108,6 +108,8 @@ def dp_exact(
     p = data.p
     if p > max_p:
         raise TooLarge(p, max_p)
+    if max_parents is not None and max_parents < 0:
+        raise GraphError(f"max_parents must be >= 0, got {max_parents}")
     _require_conservative(fam, p)
     data.check_family(fam)
     data.check_columns()

@@ -5,7 +5,8 @@ truth), fit (run a structure learner on a dataset CSV), essential (essential
 graph of a DAG), equiv (equivalence of two DAGs under a target family),
 representatives (enumerate the DAGs of a class), compare (SHD report of an
 estimate against the truth) and sweep (grid of simulate+fit+compare runs,
-one CSV row per replicate and setting).
+one CSV row per replicate and setting; the DAG estimates of gds and dp are
+compared by their essential graphs, as the class learners' are).
 
 Errors are reported as one JSON object on stderr with a non-zero exit code.
 The GIESKIT_THREADS environment variable caps the sweep worker pool; the
@@ -226,6 +227,8 @@ def _sweep_job(job: tuple) -> dict:
     t0 = time.perf_counter()
     graph, score, steps, _ = _run_algo(algo, res.data, res.fam, GiesOptions())
     runtime = time.perf_counter() - t0
+    if isinstance(graph, Dag):  # gds and dp: compare the estimated class
+        graph = essential_graph(graph, res.fam).graph
     report = evaluate(graph, res.dag, res.fam).to_dict()
     return {
         "p": p, "s": s, "k": k, "m": m, "n": n, "algo": algo,

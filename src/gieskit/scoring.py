@@ -60,6 +60,10 @@ class DegenerateFit(ScoringError):
     """A learner's fit left a residual variance below VARIANCE_FLOOR."""
 
 
+class FamilyMismatch(ScoringError):
+    """The row targets and the target family do not name the same sets."""
+
+
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row."""
 
@@ -114,12 +118,12 @@ class InterventionalDataset:
         seen = set(self.targets)
         stray = seen - members
         if stray:
-            raise ScoringError(
+            raise FamilyMismatch(
                 f"row targets {sorted(map(sorted, stray))} not in the family"
             )
         missing = members - seen
         if missing:
-            raise ScoringError(
+            raise FamilyMismatch(
                 f"family members {sorted(map(sorted, missing))} label no row"
             )
 
@@ -204,15 +208,6 @@ def _cell_error(line: int, header: list[str], rec: list[str]) -> ScoringError:
     return ScoringError(
         f"line {line}, column target: {rec[-1]!r} is not a ';'-joined vertex list"
     )
-
-
-def center_columns(data: InterventionalDataset) -> InterventionalDataset:
-    """Subtract column means estimated from observational rows only."""
-    obs = [i for i, t in enumerate(data.targets) if not t]
-    if not obs:
-        raise InsufficientSamples("no observational rows to center on")
-    mu = data.X[obs].mean(axis=0)
-    return InterventionalDataset(data.X - mu, data.targets)
 
 
 class ScoreCache:

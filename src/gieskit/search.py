@@ -516,6 +516,8 @@ def run_phases(
     """
     if opts.variant not in ("gies", "gies-nt"):
         raise GraphError(f"unknown variant {opts.variant!r}")
+    if opts.max_degree is not None and opts.max_degree < 0:
+        raise GraphError(f"max_degree must be >= 0, got {opts.max_degree}")
     _require_conservative(fam, data.p)
     data.check_family(fam)
     data.check_columns()

@@ -159,6 +159,21 @@ def test_dp_exact_validation():
         dp_exact(SIM4.data, TargetFamily([(), (1,)]))
 
 
+@pytest.mark.parametrize("option, learn", [
+    ("max_degree",
+     lambda cap: gies(SIM4.data, SIM4.fam, GiesOptions(max_degree=cap)).graph.graph),
+    ("max_degree",
+     lambda cap: gds(SIM4.data, SIM4.fam, GiesOptions(max_degree=cap)).dag),
+    ("max_degree", lambda cap: ges(SIM4.data, GiesOptions(max_degree=cap)).graph.graph),
+    ("max_parents", lambda cap: dp_exact(SIM4.data, SIM4.fam, max_parents=cap).dag),
+], ids=["gies", "gds", "ges", "dp"])
+def test_learners_reject_negative_caps(option, learn):
+    with pytest.raises(GraphError, match=f"^{option} must be >= 0, got -1$"):
+        learn(-1)
+    graph = learn(0)  # a cap of 0 admits no edge
+    assert not graph.arrows and not graph.lines
+
+
 def test_dp_exact_is_deterministic():
     a = dp_exact(SIM4.data, SIM4.fam)
     b = dp_exact(SIM4.data, SIM4.fam)

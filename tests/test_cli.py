@@ -15,9 +15,13 @@ from gieskit import (
     Dag,
     Graph,
     InterventionalDataset,
+    SimConfig,
+    dp_exact,
     essential_graph,
     evaluate,
+    gds,
     markov_equivalent,
+    simulate,
     skeleton,
 )
 from gieskit.cli import SWEEP_COLUMNS, main
@@ -183,6 +187,27 @@ def test_fit_passes_the_dp_limits(sim_dir, capsys):
     assert json.loads(stdout)["arrows"] == []
 
 
+@pytest.mark.parametrize("flags, option", [
+    (("--max-degree", "-1"), "max_degree"),
+    (("--algo", "dp", "--max-parents", "-1"), "max_parents"),
+])
+def test_fit_rejects_negative_caps(sim_dir, capsys, flags, option):
+    code, stdout, err = run(capsys, "fit", "--data", str(sim_dir / "dataset.csv"),
+                            *flags)
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {
+        "error": "GraphError", "message": f"{option} must be >= 0, got -1",
+    }
+
+
+def test_fit_names_a_family_that_does_not_match_the_labels(sim_dir, capsys):
+    # the dataset's rows are labelled [], [1] and [5]: [5] is not a member
+    code, stdout, err = run(capsys, "fit", "--data", str(sim_dir / "dataset.csv"),
+                            "--targets", "[]; [1]")
+    assert code == 1 and stdout == ""
+    assert json.loads(err)["error"] == "FamilyMismatch"
+
+
 def test_fit_reports_non_finite_data(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("x1,x2,target\n1.0,2.0,\n3.0,nan,\n")
@@ -340,6 +365,24 @@ def test_sweep_writes_one_csv_row_per_job(tmp_path, capsys):
     for r in rows:
         by_rep.setdefault(r["replicate"], set()).add(round(float(r["score"]), 6))
     assert all(len(v) == 1 for v in by_rep.values())
+
+
+def test_sweep_compares_the_class_of_a_dag_estimate(capsys):
+    code, stdout, _ = run(
+        capsys, "sweep", "--p", "5", "--s", "0.5", "--k", "0", "2", "--m", "1",
+        "--n", "300", "--algo", "gds", "dp", "--replicates", "2", "--seed", "3",
+    )
+    assert code == 0
+    rows = json.loads(stdout)
+    assert len(rows) == 8
+    learn = {"gds": lambda res: gds(res.data, res.fam).dag,
+             "dp": lambda res: dp_exact(res.data, res.fam).dag}
+    for row in rows:
+        res = simulate(SimConfig(p=5, s=0.5, k=row["k"], m=1, n=300, seed=3),
+                       replicate=row["replicate"])
+        est = essential_graph(learn[row["algo"]](res), res.fam).graph
+        want = evaluate(est, res.dag, res.fam).to_dict()
+        assert {c: row[c] for c in want} == want
 
 
 def test_sweep_json_format(capsys):

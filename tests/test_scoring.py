@@ -10,6 +10,7 @@ import oracles
 from gieskit import (
     Dag,
     DegenerateColumns,
+    FamilyMismatch,
     Graph,
     InsufficientSamples,
     InterventionalDataset,
@@ -19,7 +20,6 @@ from gieskit import (
     SimConfig,
     SingularDesign,
     TargetFamily,
-    center_columns,
     enumerate_representatives,
     essential_graph,
     local_score,
@@ -131,10 +131,11 @@ def test_read_csv_rejects_columns_whose_squares_overflow(tmp_path):
 def test_check_family():
     data = InterventionalDataset(np.zeros((3, 2)), [(), (1,), ()])
     data.check_family(TargetFamily([(), (1,)]))
-    with pytest.raises(ScoringError):
+    with pytest.raises(FamilyMismatch, match=r"row targets \[\[1\]\] not in the family"):
         data.check_family(TargetFamily([()]))
-    with pytest.raises(ScoringError):
+    with pytest.raises(FamilyMismatch, match=r"family members \[\[2\]\] label no row"):
         data.check_family(TargetFamily([(), (1,), (2,)]))
+    assert issubclass(FamilyMismatch, ScoringError)
 
 
 def test_csv_round_trip(tmp_path):
@@ -172,17 +173,6 @@ def test_read_csv_names_the_bad_line_and_column(tmp_path, body, message):
     with pytest.raises(ScoringError) as err:
         InterventionalDataset.read_csv(path)
     assert str(err.value).startswith(message)
-
-
-def test_center_columns():
-    X = np.array([[1.0, 10.0], [3.0, 30.0], [100.0, -5.0]])
-    data = InterventionalDataset(X, [(), (), (1,)])
-    centered = center_columns(data)
-    # means come from the two observational rows only
-    assert np.allclose(centered.X[:2].mean(axis=0), 0.0)
-    assert np.allclose(centered.X, X - [2.0, 20.0])
-    with pytest.raises(InsufficientSamples):
-        center_columns(InterventionalDataset(X, [(1,), (1,), (1,)]))
 
 
 # -- local scores --------------------------------------------------------------
