@@ -79,18 +79,13 @@ from .search import (
     apply_turn_arrow,
     apply_turn_line,
     best_move,
-    delta_delete,
-    delta_insert,
-    delta_turn_arrow,
-    delta_turn_line,
     gies,
-    valid_delete,
-    valid_insert,
-    valid_turn_arrow,
-    valid_turn_line,
+    move_delta,
+    valid_move,
 )
 from .simulate import (
     InfeasibleTargets,
+    InvalidSimConfig,
     SimConfig,
     SimResult,
     random_dag,
@@ -123,11 +118,10 @@ __all__ = [
     "GiesOptions", "InvalidMove", "MoveCandidate", "MoveKind",
     "SearchResult", "SearchTrace", "TraceEntry",
     "apply_delete", "apply_insert", "apply_move", "apply_turn_arrow",
-    "apply_turn_line", "best_move", "delta_delete", "delta_insert",
-    "delta_turn_arrow", "delta_turn_line", "gies",
-    "valid_delete", "valid_insert", "valid_turn_arrow", "valid_turn_line",
+    "apply_turn_line", "best_move", "gies", "move_delta", "valid_move",
     "DagSearchResult", "DpResult", "TooLarge", "dp_exact", "gds", "ges",
-    "InfeasibleTargets", "SimConfig", "SimResult", "random_dag",
-    "random_model", "random_targets", "sample", "simulate", "substream",
+    "InfeasibleTargets", "InvalidSimConfig", "SimConfig", "SimResult",
+    "random_dag", "random_model", "random_targets", "sample", "simulate",
+    "substream",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 # has_path is no longer called here but stays importable from this module:
 # perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
-from .graphs import Dag, GraphError, has_path, is_acyclic  # noqa: F401
+from .graphs import Dag, GraphError, has_path  # noqa: F401
 from .interventions import OBSERVATIONAL, TargetFamily, _require_conservative
 from .scoring import InterventionalDataset, ScoreCache, ScoringError, local_score
 from .search import (  # noqa: F401
@@ -69,9 +69,7 @@ def gds(
     options: GiesOptions | None = None,
 ) -> DagSearchResult:
     """Greedy DAG-space search from the empty DAG."""
-    g, score, steps, trace = run_phases(
-        data, fam, options or GiesOptions(), _edit, is_acyclic
-    )
+    g, score, steps, trace = run_phases(data, fam, options or GiesOptions(), _edit)
     return DagSearchResult(
         dag=Dag(data.p, arrows=g.arrows), score=score, steps=steps, trace=trace
     )

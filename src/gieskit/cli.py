@@ -332,6 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(sp)
     sp.set_defaults(func=cmd_compare)
 
+    # argparse quotes this function's name when the text is not an integer
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     sp = sub.add_parser("sweep", help="simulate+fit+compare over a grid")
     sp.add_argument("--p", type=int, nargs="+", required=True)
     sp.add_argument("--s", type=float, nargs="+", required=True)
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, nargs="+", required=True)
     sp.add_argument("--n", type=int, nargs="+", required=True)
     sp.add_argument("--algo", choices=ALGOS, nargs="+", default=["gies"])
-    sp.add_argument("--replicates", type=int, default=1)
+    sp.add_argument("--replicates", type=count, default=1)
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_out(sp)

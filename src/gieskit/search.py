@@ -5,13 +5,13 @@ triple (u, v, C): C is a clique of line-neighbours of v describing how a
 representative DAG orients the lines at v before the single-edge change is
 made. Insert adds the arrow u -> v between non-adjacent vertices, delete
 removes the edge between u and v, and turn reverses an existing arrow
-v -> u (or orients a line) to u -> v. Each kind has purely structural
-validity conditions. Beyond those, every kind changes the parent set of v
-(a turn also that of u) in a representative that orients C into v, so one
-score delta (`_delta`) and one application (`apply_move`) serve all four:
-the application orients the affected chain components, makes the
-single-edge change (`_edit`) and relaxes unprotected arrows to reach the
-new class's essential graph.
+v -> u (or orients a line) to u -> v. One check (`valid_move`) holds the
+structural validity conditions of every kind. Beyond those, every kind
+changes the parent set of v (a turn also that of u) in a representative
+that orients C into v, so one score delta (`move_delta`) and one
+application (`apply_move`) serve all four: the application orients the
+affected chain components, makes the single-edge change (`_edit`) and
+relaxes unprotected arrows to reach the new class's essential graph.
 
 The driver repeats three phases to a fixpoint each: forward (inserts),
 backward (deletes) and turning; the outer loop continues while backward or
@@ -54,7 +54,6 @@ from .interventions import (
     EssentialGraph,
     TargetFamily,
     _require_conservative,
-    is_essential_graph,
     replace_unprotected,
 )
 from .scoring import (
@@ -121,15 +120,13 @@ class GiesOptions:
     variant: "gies" (full loop) or "gies-nt" (one forward fixpoint, one
     backward fixpoint, no turning). max_degree bounds the number of
     neighbours a vertex may reach through inserts, guarding the clique
-    enumeration. validate_steps re-checks the graph after every applied
-    move: the essential graph conditions for gies, acyclicity for gds.
+    enumeration.
     """
 
     variant: str = "gies"
     max_degree: int | None = None
     trace: bool = False
     penalty: str = "total"
-    validate_steps: bool = False
 
 
 @dataclass
@@ -161,7 +158,7 @@ def _neighborhood_separated(
 
 
 # With N := nb(v) & ad(u), the rule by which each move kind admits a clique C
-# of line-neighbours of v, shared by the enumeration and the valid_* checks.
+# of line-neighbours of v, shared by the enumeration and valid_move.
 # Turn-line: C avoids u, C \ N is nonempty (otherwise the class does not
 # change), and C & N separates C \ N from N \ C inside g[nb(v)].
 _ADMITS: dict[MoveKind, Callable[..., bool]] = {
@@ -176,69 +173,55 @@ _ADMITS: dict[MoveKind, Callable[..., bool]] = {
 _ADMITS[MoveKind.TURN_ARROW] = _ADMITS[MoveKind.INSERT]
 
 
-def _admitted(g: Graph, kind: MoveKind, u: int, v: int, C: frozenset[int]) -> bool:
-    """Whether C is a clique of line-neighbours of v that the move kind
-    admits for the pair (u, v)."""
-    nb_v = frozenset(g._nb[v])
-    N = nb_v & g.adjacent(u)
-    return C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)
+def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
+    """Whether (u, v, C) is a valid move of the kind on g.
 
-
-def valid_insert(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
-    """Insert of u -> v with representative orientation C at v: C must be a
-    clique of line-neighbours of v containing N := nb(v) & ad(u), and every
-    partially directed path from v to u must pass through C."""
-    if u == v:
-        raise GraphError("u and v must differ")
-    if g.is_adjacent(u, v):
-        raise VerticesAdjacent(f"{u} and {v} are already adjacent")
-    C = frozenset(C)
-    return _admitted(g, MoveKind.INSERT, u, v, C) and not has_path(g, v, u, forbidden=C)
-
-
-def valid_delete(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
-    """Delete of the edge u -> v or u - v: C must be a clique of
-    line-neighbours of v inside N := nb(v) & ad(u)."""
-    if not (g.has_arrow(u, v) or g.has_line(u, v)):
-        raise NotAnEdge(f"no arrow {u} -> {v} and no line {u} - {v}")
-    return _admitted(g, MoveKind.DELETE, u, v, frozenset(C))
-
-
-def valid_turn_line(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
-    """Turn of the line u - v into u -> v: with N := nb(v) & ad(u), C must
-    be a clique of line-neighbours of v avoiding u, C \\ N must be nonempty
-    (otherwise the class does not change), and C & N must separate C \\ N
-    from N \\ C inside g[nb(v)]."""
-    if not g.has_line(u, v):
-        raise NotALine(f"no line {u} - {v}")
-    return _admitted(g, MoveKind.TURN_LINE, u, v, frozenset(C))
-
-
-def valid_turn_arrow(g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
-    """Turn of the arrow v -> u into u -> v: C must be a clique of
-    line-neighbours of v containing N := nb(v) & ad(u), and every partially
-    directed path from v to u other than the arrow itself must pass through
-    C or nb(u)."""
-    if not g.has_arrow(v, u):
+    Each kind first needs its edge: insert needs u and v non-adjacent
+    (VerticesAdjacent; GraphError when u == v), delete an arrow u -> v or a
+    line u - v (NotAnEdge), turn-line a line u - v (NotALine) and
+    turn-arrow an arrow v -> u (NotAnArrow). C must then be a clique of
+    line-neighbours of v that the kind's rule (_ADMITS) admits. Insert also
+    needs every partially directed path from v to u to pass through C, and
+    turn-arrow every such path other than the arrow itself to pass through
+    C or nb(u).
+    """
+    if kind is MoveKind.INSERT:
+        if u == v:
+            raise GraphError("u and v must differ")
+        if g.is_adjacent(u, v):
+            raise VerticesAdjacent(f"{u} and {v} are already adjacent")
+    elif kind is MoveKind.DELETE:
+        if not (g.has_arrow(u, v) or g.has_line(u, v)):
+            raise NotAnEdge(f"no arrow {u} -> {v} and no line {u} - {v}")
+    elif kind is MoveKind.TURN_LINE:
+        if not g.has_line(u, v):
+            raise NotALine(f"no line {u} - {v}")
+    elif not g.has_arrow(v, u):
         raise NotAnArrow(f"no arrow {v} -> {u}")
     C = frozenset(C)
-    if not _admitted(g, MoveKind.TURN_ARROW, u, v, C):
+    nb_v = frozenset(g._nb[v])
+    N = nb_v & g.adjacent(u)
+    if not (C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)):
         return False
-    cut = g.copy()
-    cut._pa[u].discard(v)
-    cut._ch[v].discard(u)
-    return not has_path(cut, v, u, forbidden=C | g._nb[u])
+    if kind is MoveKind.INSERT:
+        return not has_path(g, v, u, forbidden=C)
+    if kind is MoveKind.TURN_ARROW:
+        cut = g.copy()
+        cut._pa[u].discard(v)
+        cut._ch[v].discard(u)
+        return not has_path(cut, v, u, forbidden=C | g._nb[u])
+    return True
 
 
 # -- score deltas -----------------------------------------------------------
 
 
-def _delta(
+def move_delta(
     kind: MoveKind,
     g: Graph,
     u: int,
     v: int,
-    C: frozenset[int],
+    C: Iterable[int],
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
 ) -> float:
@@ -246,6 +229,7 @@ def _delta(
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow."""
+    C = frozenset(C)
     B = frozenset(g._pa[v]) | C
     terms = [
         local_score(v, B | {u}, data, cache=cache),
@@ -266,65 +250,7 @@ def _delta(
     return fsum(terms)
 
 
-def delta_insert(
-    g: Graph,
-    u: int,
-    v: int,
-    C: Iterable[int],
-    data: InterventionalDataset,
-    cache: ScoreCache | None = None,
-) -> float:
-    """Score change of inserting u -> v with C oriented into v."""
-    return _delta(MoveKind.INSERT, g, u, v, frozenset(C), data, cache)
-
-
-def delta_delete(
-    g: Graph,
-    u: int,
-    v: int,
-    C: Iterable[int],
-    data: InterventionalDataset,
-    cache: ScoreCache | None = None,
-) -> float:
-    """Score change of deleting the edge between u and v with C oriented
-    into v."""
-    return _delta(MoveKind.DELETE, g, u, v, frozenset(C), data, cache)
-
-
-def delta_turn_line(
-    g: Graph,
-    u: int,
-    v: int,
-    C: Iterable[int],
-    data: InterventionalDataset,
-    cache: ScoreCache | None = None,
-) -> float:
-    """Score change of turning the line u - v into u -> v with C oriented
-    into v."""
-    return _delta(MoveKind.TURN_LINE, g, u, v, frozenset(C), data, cache)
-
-
-def delta_turn_arrow(
-    g: Graph,
-    u: int,
-    v: int,
-    C: Iterable[int],
-    data: InterventionalDataset,
-    cache: ScoreCache | None = None,
-) -> float:
-    """Score change of reversing the arrow v -> u with C oriented into v."""
-    return _delta(MoveKind.TURN_ARROW, g, u, v, frozenset(C), data, cache)
-
-
 # -- application ------------------------------------------------------------
-
-
-_VALID: dict[MoveKind, Callable[..., bool]] = {
-    MoveKind.INSERT: valid_insert,
-    MoveKind.DELETE: valid_delete,
-    MoveKind.TURN_LINE: valid_turn_line,
-    MoveKind.TURN_ARROW: valid_turn_arrow,
-}
 
 
 def _edit(g: Graph, move: MoveCandidate) -> Graph:
@@ -348,7 +274,7 @@ def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
     component from u, so that only v points into u.
     """
     kind, u, v, C = move.kind, move.u, move.v, move.C
-    if not _VALID[kind](g, u, v, C):
+    if not valid_move(kind, g, u, v, C):
         raise InvalidMove(f"{kind.name.lower()} ({u}, {v}, {sorted(C)}) is not valid")
     h = g.copy()
     if kind is MoveKind.TURN_ARROW:
@@ -456,23 +382,17 @@ def _candidates(
                 if not admits(g, nb_v, N, u, C):
                     continue
                 try:
-                    # the insert delta is _delta's, with its u-independent
+                    # the insert delta is move_delta's, with its u-independent
                     # term looked up once per C
                     if kind is MoveKind.INSERT:
                         if base is None:
                             base = local_score(v, pa_v | C, data, cache=cache)
                         delta = local_score(v, pa_v | C | {u}, data, cache=cache) - base
                     else:
-                        delta = _delta(kind, g, u, v, C, data, cache)
+                        delta = move_delta(kind, g, u, v, C, data, cache)
                 except ScoringError:
                     continue
                 yield MoveCandidate(kind, u, v, C, delta)
-
-
-def _lazy_valid(g: Graph, move: MoveCandidate) -> bool:
-    # the enumeration checks every condition except the path conditions of
-    # insert and turn-arrow, which are deferred to the ranked walk
-    return _VALID[move.kind](g, move.u, move.v, move.C)
 
 
 def best_move(
@@ -495,7 +415,9 @@ def best_move(
         (c for c in _candidates(g, kinds, data, cache, max_degree) if c.delta > 0.0),
         key=lambda c: (-c.delta, c.key()),
     )
-    return next((c for c in ranked if _lazy_valid(g, c)), None)
+    # the enumeration checked every condition except the path conditions of
+    # insert and turn-arrow, which valid_move checks here on the ranked walk
+    return next((c for c in ranked if valid_move(c.kind, g, c.u, c.v, c.C)), None)
 
 
 # -- driver -----------------------------------------------------------------
@@ -506,13 +428,11 @@ def run_phases(
     fam: TargetFamily,
     opts: GiesOptions,
     apply: Callable[[Graph, MoveCandidate], Graph],
-    check: Callable[[Graph], object],
 ) -> tuple[Graph, float, int, SearchTrace | None]:
     """The greedy phase loop from the empty graph, shared by gies and gds.
 
     `apply` returns the graph after a move (it may edit its argument in
-    place); `check` is the validate_steps test, falsy on a broken graph.
-    Returns (graph, score, steps, trace).
+    place). Returns (graph, score, steps, trace).
     """
     if opts.variant not in ("gies", "gies-nt"):
         raise GraphError(f"unknown variant {opts.variant!r}")
@@ -552,12 +472,6 @@ def run_phases(
                         score=score,
                     )
                 )
-            if opts.validate_steps:
-                report = check(g)
-                if not report:
-                    raise AssertionError(
-                        f"step {steps} left an invalid graph: {report}"
-                    )
 
     if opts.variant == "gies-nt":
         run_phase("forward")
@@ -584,7 +498,6 @@ def gies(
         fam,
         options or GiesOptions(),
         lambda g, move: apply_move(g, move, fam),
-        lambda g: is_essential_graph(g, fam),
     )
     return SearchResult(
         graph=EssentialGraph(as_chain_graph(g), fam),

@@ -27,7 +27,12 @@ _DAG, _MODEL, _TARGETS, _SAMPLE = 0, 1, 2, 3
 
 
 class InfeasibleTargets(ValueError):
-    """Too few distinct targets of the requested size exist."""
+    """Too few distinct targets of the requested size exist, or too few
+    samples to give every target a row."""
+
+
+class InvalidSimConfig(ValueError):
+    """A scenario parameter lies outside its range; the message names it."""
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -44,9 +49,10 @@ class SimConfig:
     """Scenario description; equal configs with equal seeds reproduce
     bit-identical outputs.
 
-    p: vertex count; s: forward-edge probability; k: number of
-    interventional targets besides the observational one; m: intervened
-    vertices per target; n: total sample count.
+    p: vertex count (>= 1); s: forward-edge probability (in [0, 1]); k:
+    number of interventional targets besides the observational one; m:
+    intervened vertices per target; n: total sample count. An out-of-range
+    p or s raises InvalidSimConfig naming it.
     """
 
     p: int
@@ -57,6 +63,12 @@ class SimConfig:
     level_mean: float = 2.0
     level_sd: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise InvalidSimConfig(f"p must be >= 1, got {self.p}")
+        if not 0.0 <= self.s <= 1.0:  # NaN fails every comparison
+            raise InvalidSimConfig(f"s must lie in [0, 1], got {self.s}")
 
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
@@ -81,8 +93,7 @@ def random_model(dag: Dag, rng: np.random.Generator) -> GaussianModel:
         weight = rng.uniform(0.1, 1.0) * (1.0 if rng.random() < 0.5 else -1.0)
         B[b - 1, a - 1] = weight
     sigma2 = rng.uniform(0.5, 1.0, size=p)
-    inv = np.linalg.inv(np.eye(p) - B)
-    scale = np.sqrt(np.diag(inv @ np.diag(sigma2) @ inv.T))
+    scale = np.sqrt(np.diag(GaussianModel(dag, B, sigma2).covariance()))
     B = B * scale[np.newaxis, :] / scale[:, np.newaxis]
     sigma2 = sigma2 / scale**2
     return GaussianModel(dag=dag, B=B, sigma2=sigma2)
@@ -122,11 +133,16 @@ def sample(
     level_sd: float = 0.2,
 ) -> InterventionalDataset:
     """n rows allocated round-robin over the family (row i gets member
-    i mod len(fam), so group sizes differ by at most one). Each group is
+    i mod len(fam), so group sizes differ by at most one, and n must reach
+    len(fam) so that every member labels a row). Each group is
     generated in topological order; intervened coordinates are independent
     draws from N(level_mean, level_sd^2)."""
     if not len(fam):
         raise InfeasibleTargets("family must contain at least one target")
+    if n < len(fam):
+        raise InfeasibleTargets(
+            f"n = {n} samples cannot label all {len(fam)} family members"
+        )
     p = model.dag.p
     order = topological_order(model.dag)
     X = np.zeros((n, p))

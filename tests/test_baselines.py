@@ -16,8 +16,11 @@ from gieskit import (
     DegenerateFit,
     DpResult,
     GiesOptions,
+    Graph,
     GraphError,
     InterventionalDataset,
+    MoveCandidate,
+    MoveKind,
     NonConservativeFamily,
     ScoringError,
     SimConfig,
@@ -28,6 +31,7 @@ from gieskit import (
     gds,
     ges,
     gies,
+    is_acyclic,
     markov_equivalent,
     random_dag,
     random_model,
@@ -36,6 +40,7 @@ from gieskit import (
     substream,
     total_score,
 )
+from gieskit.search import _edit
 
 SIM6 = simulate(SimConfig(p=6, s=0.35, k=3, m=1, n=3000, seed=7))
 SIM4 = simulate(SimConfig(p=4, s=0.5, k=2, m=1, n=300, seed=3))
@@ -93,9 +98,15 @@ def test_gds_validation():
         gds(SIM6.data, TargetFamily([(), (1,)]))
 
 
-def test_gds_validate_steps_and_nt_variant():
-    full = gds(SIM6.data, SIM6.fam, GiesOptions(validate_steps=True))
+def test_gds_trace_replays_through_dags_and_nt_variant():
+    full = gds(SIM6.data, SIM6.fam, GiesOptions(trace=True))
     assert full.dag == gds(SIM6.data, SIM6.fam).dag
+    g = Graph(6)
+    for step, e in enumerate(full.trace.entries):
+        kind = MoveKind[e.kind.upper()]
+        g = _edit(g, MoveCandidate(kind, e.u, e.v, frozenset(e.C), e.delta))
+        assert is_acyclic(g), (step, e)
+    assert Dag(6, arrows=g.arrows) == full.dag
     nt = gds(SIM6.data, SIM6.fam, GiesOptions(variant="gies-nt", trace=True))
     assert all(e.phase != "turning" for e in nt.trace.entries)
 

@@ -411,6 +411,33 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
     assert rows["1"] == rows["2"]
 
 
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--p", "4", "--s", "0.4", "--k", "0", "--m", "1",
+              "--n", "150", "--replicates", "0", "--format", "csv",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert "--replicates: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, error", [
+    (("--p", "4", "--s", "1.5", "--k", "0", "--n", "100"), "InvalidSimConfig"),
+    (("--p", "0", "--s", "0.5", "--k", "0", "--n", "100"), "InvalidSimConfig"),
+    (("--p", "6", "--s", "0.5", "--k", "4", "--n", "3"), "InfeasibleTargets"),
+])
+def test_simulate_and_sweep_name_a_bad_scenario(tmp_path, capsys, grid, error):
+    out = tmp_path / "scenario"
+    code, stdout, err = run(capsys, "simulate", *grid, "--m", "1",
+                            "--out-dir", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(err)["error"] == error
+    code, stdout, err = run(capsys, "sweep", *grid, "--m", "1")
+    assert code == 1 and stdout == ""
+    assert json.loads(err)["error"] == error
+
+
 # -- error handling and entry point ----------------------------------------------
 
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import replace
+from functools import partial
 from math import fsum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cases
+import gieskit
 import oracles
 from gieskit import (
     Dag,
@@ -35,27 +37,22 @@ from gieskit import (
     apply_turn_arrow,
     apply_turn_line,
     best_move,
-    delta_delete,
-    delta_insert,
-    delta_turn_arrow,
-    delta_turn_line,
     essential_graph,
     ges,
     gies,
+    has_path,
     is_essential_graph,
     local_score,
+    move_delta,
     random_model,
     representative,
     sample,
     simulate,
     substream,
     total_score,
-    valid_delete,
-    valid_insert,
-    valid_turn_arrow,
-    valid_turn_line,
+    valid_move,
 )
-from gieskit.search import _PHASE_KINDS, _candidates, _lazy_valid
+from gieskit.search import _ADMITS, _PHASE_KINDS, _candidates, _clique_of_lines
 
 dag4_arrows = st.sampled_from(oracles.all_dag_arrow_sets(4))
 families4 = st.lists(
@@ -66,6 +63,12 @@ SIM6 = simulate(SimConfig(p=6, s=0.35, k=3, m=1, n=3000, seed=7))
 
 
 # -- move candidates -----------------------------------------------------------
+
+
+def test_public_names_resolve_once():
+    assert len(set(gieskit.__all__)) == len(gieskit.__all__)
+    for name in gieskit.__all__:
+        assert hasattr(gieskit, name), name
 
 
 def test_move_kind_tie_break_order():
@@ -86,52 +89,52 @@ def test_move_candidate_key():
 
 def test_valid_insert_fixture():
     e = cases.eg_7v_t4()
-    assert valid_insert(e, 4, 2, {3})
+    assert valid_move(MoveKind.INSERT, e, 4, 2, {3})
     # without orienting 3 into 2 first, a directed path 2 -> ... -> 4 remains
-    assert not valid_insert(e, 4, 2, frozenset())
-    assert not valid_insert(e, 4, 2, {1})
+    assert not valid_move(MoveKind.INSERT, e, 4, 2, frozenset())
+    assert not valid_move(MoveKind.INSERT, e, 4, 2, {1})
     with pytest.raises(VerticesAdjacent):
-        valid_insert(e, 2, 5, frozenset())
+        valid_move(MoveKind.INSERT, e, 2, 5, frozenset())
     with pytest.raises(GraphError):
-        valid_insert(e, 2, 2, frozenset())
+        valid_move(MoveKind.INSERT, e, 2, 2, frozenset())
 
 
 def test_valid_insert_requires_clique_c():
     # 1 and 3 are both line-neighbours of 2 but not joined themselves
     e = cases.eg_7v_t4()
-    assert not valid_insert(e, 4, 2, {1, 3})
+    assert not valid_move(MoveKind.INSERT, e, 4, 2, {1, 3})
 
 
 def test_valid_delete_fixture():
     e = cases.eg_7v_t4()
-    assert valid_delete(e, 2, 5, frozenset())
-    assert valid_delete(e, 2, 5, {1})
+    assert valid_move(MoveKind.DELETE, e, 2, 5, frozenset())
+    assert valid_move(MoveKind.DELETE, e, 2, 5, {1})
     # C must stay inside the common neighbourhood
-    assert not valid_delete(e, 2, 5, {3})
-    assert valid_delete(e, 3, 4, frozenset())
+    assert not valid_move(MoveKind.DELETE, e, 2, 5, {3})
+    assert valid_move(MoveKind.DELETE, e, 3, 4, frozenset())
     with pytest.raises(NotAnEdge):
-        valid_delete(e, 4, 2, frozenset())
+        valid_move(MoveKind.DELETE, e, 4, 2, frozenset())
 
 
 def test_valid_turn_line_fixture():
     e = cases.eg_7v_t4()
-    assert valid_turn_line(e, 5, 2, {3})
+    assert valid_move(MoveKind.TURN_LINE, e, 5, 2, {3})
     # C entirely inside N leaves the class unchanged
-    assert not valid_turn_line(e, 5, 2, {1})
-    assert not valid_turn_line(e, 5, 2, frozenset())
+    assert not valid_move(MoveKind.TURN_LINE, e, 5, 2, {1})
+    assert not valid_move(MoveKind.TURN_LINE, e, 5, 2, frozenset())
     with pytest.raises(NotALine):
-        valid_turn_line(e, 4, 3, frozenset())
+        valid_move(MoveKind.TURN_LINE, e, 4, 3, frozenset())
 
 
 def test_valid_turn_arrow_fixture():
     e = cases.eg_5v()
-    assert valid_turn_arrow(e, 1, 2, {3})
+    assert valid_move(MoveKind.TURN_ARROW, e, 1, 2, {3})
     # N = nb(2) & ad(1) = {} so any clique C of nb(2) qualifies structurally
-    assert valid_turn_arrow(e, 1, 2, frozenset())
+    assert valid_move(MoveKind.TURN_ARROW, e, 1, 2, frozenset())
     with pytest.raises(NotAnArrow):
-        valid_turn_arrow(e, 2, 1, {3})
+        valid_move(MoveKind.TURN_ARROW, e, 2, 1, {3})
     with pytest.raises(NotAnArrow):
-        valid_turn_arrow(e, 5, 1, frozenset())
+        valid_move(MoveKind.TURN_ARROW, e, 5, 1, frozenset())
 
 
 # -- application fixtures --------------------------------------------------------
@@ -183,39 +186,32 @@ def test_apply_move_dispatch():
 # -- move semantics against full rescoring --------------------------------------
 
 
+def _neighbour_subsets(e, v):
+    nb = sorted(e.neighbors(v))
+    return [
+        frozenset(c) for r in range(len(nb) + 1) for c in itertools.combinations(nb, r)
+    ]
+
+
 def _all_valid_moves(e):
     """Exhaustive (kind, u, v, C) scan over subsets of each neighbourhood."""
     out = []
     for v in e.vertices:
-        nb = sorted(e.neighbors(v))
-        subsets = [
-            frozenset(c)
-            for r in range(len(nb) + 1)
-            for c in itertools.combinations(nb, r)
-        ]
+        subsets = _neighbour_subsets(e, v)
         for u in e.vertices:
             if u == v:
                 continue
             for C in subsets:
-                if not e.is_adjacent(u, v):
-                    if valid_insert(e, u, v, C):
-                        out.append((MoveKind.INSERT, u, v, C))
-                else:
-                    if (e.has_arrow(u, v) or e.has_line(u, v)) and valid_delete(e, u, v, C):
-                        out.append((MoveKind.DELETE, u, v, C))
-                    if e.has_line(u, v) and valid_turn_line(e, u, v, C):
-                        out.append((MoveKind.TURN_LINE, u, v, C))
-                    if e.has_arrow(v, u) and valid_turn_arrow(e, u, v, C):
-                        out.append((MoveKind.TURN_ARROW, u, v, C))
+                for kind in MoveKind:
+                    try:
+                        if valid_move(kind, e, u, v, C):
+                            out.append((kind, u, v, C))
+                    except (VerticesAdjacent, NotAnEdge, NotALine, NotAnArrow):
+                        pass  # the pair lacks the edge this kind acts on
     return out
 
 
-DELTAS = {
-    MoveKind.INSERT: delta_insert,
-    MoveKind.DELETE: delta_delete,
-    MoveKind.TURN_LINE: delta_turn_line,
-    MoveKind.TURN_ARROW: delta_turn_arrow,
-}
+DELTAS = {kind: partial(move_delta, kind) for kind in MoveKind}
 APPLIES = {
     MoveKind.INSERT: apply_insert,
     MoveKind.DELETE: apply_delete,
@@ -261,7 +257,7 @@ def test_moves_change_the_class(arrows, targets):
 @given(dag4_arrows, families4, st.integers(0, 2**16))
 def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed):
     # the generator, after the deferred path checks, yields each valid move
-    # of a phase exactly once, scored exactly as the delta_* functions do
+    # of a phase exactly once, scored exactly as move_delta does
     fam = TargetFamily(targets)
     model = random_model(Dag(4, arrows=arrows), substream(seed, 0))
     data = sample(model, fam, 240, substream(seed, 1))
@@ -269,7 +265,10 @@ def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed)
     e = essential_graph(Dag(4, arrows=arrows), fam).graph
     brute = _all_valid_moves(e)
     for phase, kinds in _PHASE_KINDS.items():
-        got = [c for c in _candidates(e, kinds, data, cache) if _lazy_valid(e, c)]
+        got = [
+            c for c in _candidates(e, kinds, data, cache)
+            if valid_move(c.kind, e, c.u, c.v, c.C)
+        ]
         moves = [(c.kind, c.u, c.v, c.C) for c in got]
         assert len(set(moves)) == len(moves), phase
         assert set(moves) == {m for m in brute if m[0] in kinds}, phase
@@ -277,7 +276,7 @@ def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed)
             assert c.delta == DELTAS[c.kind](e, c.u, c.v, c.C, data, cache), c
 
 
-# The per-kind delta formulas that search._delta replaced, kept as its
+# The per-kind delta formulas that search.move_delta replaced, kept as its
 # reference: one subtraction for insert and delete, one fsum of four local
 # scores for the turns.
 
@@ -336,6 +335,78 @@ def test_deltas_equal_the_reference_formulas(arrows, targets, seed):
         ), (kind, u, v, C)
 
 
+# The four validity checks that search.valid_move replaced, kept as its
+# reference.
+
+
+def _ref_admitted(g, kind, u, v, C):
+    nb_v = frozenset(g._nb[v])
+    N = nb_v & g.adjacent(u)
+    return C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)
+
+
+def _ref_valid_insert(g, u, v, C):
+    if u == v:
+        raise GraphError("u and v must differ")
+    if g.is_adjacent(u, v):
+        raise VerticesAdjacent(f"{u} and {v} are already adjacent")
+    C = frozenset(C)
+    return _ref_admitted(g, MoveKind.INSERT, u, v, C) and not has_path(g, v, u, forbidden=C)
+
+
+def _ref_valid_delete(g, u, v, C):
+    if not (g.has_arrow(u, v) or g.has_line(u, v)):
+        raise NotAnEdge(f"no arrow {u} -> {v} and no line {u} - {v}")
+    return _ref_admitted(g, MoveKind.DELETE, u, v, frozenset(C))
+
+
+def _ref_valid_turn_line(g, u, v, C):
+    if not g.has_line(u, v):
+        raise NotALine(f"no line {u} - {v}")
+    return _ref_admitted(g, MoveKind.TURN_LINE, u, v, frozenset(C))
+
+
+def _ref_valid_turn_arrow(g, u, v, C):
+    if not g.has_arrow(v, u):
+        raise NotAnArrow(f"no arrow {v} -> {u}")
+    C = frozenset(C)
+    if not _ref_admitted(g, MoveKind.TURN_ARROW, u, v, C):
+        return False
+    cut = g.copy()
+    cut._pa[u].discard(v)
+    cut._ch[v].discard(u)
+    return not has_path(cut, v, u, forbidden=C | g._nb[u])
+
+
+REFERENCE_VALID = {
+    MoveKind.INSERT: _ref_valid_insert,
+    MoveKind.DELETE: _ref_valid_delete,
+    MoveKind.TURN_LINE: _ref_valid_turn_line,
+    MoveKind.TURN_ARROW: _ref_valid_turn_arrow,
+}
+
+
+def _outcome(check, *args):
+    """The bool a check returns, or the type of the error it raises."""
+    try:
+        return check(*args)
+    except GraphError as exc:
+        return type(exc)
+
+
+@settings(max_examples=50)
+@given(dag4_arrows, families4)
+def test_valid_move_equals_the_reference_checks(arrows, targets):
+    # every kind, every ordered pair (u = v included) and every C in nb(v)
+    e = essential_graph(Dag(4, arrows=arrows), TargetFamily(targets)).graph
+    for v in e.vertices:
+        for u, C, (kind, ref) in itertools.product(
+            e.vertices, _neighbour_subsets(e, v), REFERENCE_VALID.items()
+        ):
+            want = _outcome(ref, e, u, v, C)
+            assert _outcome(valid_move, kind, e, u, v, C) is want, (kind, u, v, sorted(C))
+
+
 # -- best_move -----------------------------------------------------------------
 
 
@@ -344,7 +415,7 @@ def test_best_move_picks_the_highest_delta():
     move = best_move(g, "forward", SIM6.data)
     assert move is not None and move.kind == MoveKind.INSERT
     deltas = [
-        delta_insert(g, u, v, frozenset(), SIM6.data)
+        move_delta(MoveKind.INSERT, g, u, v, frozenset(), SIM6.data)
         for u in g.vertices
         for v in g.vertices
         if u != v
@@ -427,9 +498,15 @@ def test_gies_trace_jsonl_round_trips():
     assert set(first) == {"phase", "kind", "u", "v", "C", "delta", "score"}
 
 
-def test_gies_validate_steps():
-    res = gies(SIM6.data, SIM6.fam, GiesOptions(validate_steps=True))
-    assert is_essential_graph(res.graph.graph, SIM6.fam).ok
+def test_gies_trace_replays_through_essential_graphs():
+    res = gies(SIM6.data, SIM6.fam, GiesOptions(trace=True))
+    g = Graph(6)
+    for step, e in enumerate(res.trace.entries):
+        kind = MoveKind[e.kind.upper()]
+        g = apply_move(g, MoveCandidate(kind, e.u, e.v, frozenset(e.C), e.delta), SIM6.fam)
+        report = is_essential_graph(g, SIM6.fam)
+        assert report.ok, (step, e, report.violated, report.witness)
+    assert g == res.graph.graph
 
 
 def test_gies_nt_variant_skips_turning():

@@ -11,6 +11,7 @@ from gieskit import (
     OBSERVATIONAL,
     Dag,
     InfeasibleTargets,
+    InvalidSimConfig,
     SimConfig,
     TargetFamily,
     mle_params,
@@ -178,6 +179,15 @@ def test_sample_requires_a_target():
         sample(model, TargetFamily([]), 10, substream(0))
 
 
+@pytest.mark.parametrize("n", [0, 3, 4])
+def test_simulate_rejects_fewer_rows_than_targets(n):
+    # k = 4 singleton targets plus the observational one: 5 members
+    with pytest.raises(InfeasibleTargets, match=f"n = {n} samples cannot label all 5"):
+        simulate(SimConfig(p=6, s=0.5, k=4, m=1, n=n))
+    sim = simulate(SimConfig(p=6, s=0.5, k=4, m=1, n=5))
+    sim.data.check_family(sim.fam)
+
+
 # -- end-to-end scenarios --------------------------------------------------------
 
 
@@ -200,6 +210,23 @@ def test_simulate_result_is_internally_consistent():
     assert md["p"] == 6 and md["k"] == 2 and md["m"] == 2
     assert md["seed"] == 2 and md["replicate"] == 1
     assert md["rng"] == "philox"
+
+
+@pytest.mark.parametrize("field, p, s", [
+    ("p", 0, 0.5),
+    ("p", -3, 0.5),
+    ("s", 4, 1.5),
+    ("s", 4, -0.5),
+    ("s", 4, math.nan),
+])
+def test_simulate_rejects_out_of_range_parameters(field, p, s):
+    with pytest.raises(InvalidSimConfig, match=f"^{field} must"):
+        simulate(SimConfig(p=p, s=s, k=0, m=1, n=10))
+
+
+@pytest.mark.parametrize("p, s, arrows", [(1, 0.5, 0), (4, 0.0, 0), (4, 1.0, 6)])
+def test_simulate_accepts_the_range_ends(p, s, arrows):
+    assert len(simulate(SimConfig(p=p, s=s, k=0, m=1, n=10)).dag.arrows) == arrows
 
 
 def test_simulate_config_is_frozen():
