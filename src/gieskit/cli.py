@@ -63,7 +63,7 @@ def _write(text: str, args) -> None:
 
 def _emit(obj, args) -> None:
     """Print obj as JSON, or write it to --out when given."""
-    _write(json.dumps(obj, separators=(", ", ": ")) + "\n", args)
+    _write(json.dumps(obj) + "\n", args)
 
 
 def _emit_csv(rows: list[dict], fieldnames, args) -> None:
@@ -134,15 +134,11 @@ def cmd_simulate(args) -> int:
     truth_ess = essential_graph(res.dag, res.fam)
     (out / "truth_essential.json").write_text(truth_ess.graph.to_json() + "\n")
     (out / "params.json").write_text(json.dumps(
-        {"B": res.model.B.tolist(), "sigma2": res.model.sigma2.tolist()},
-        separators=(", ", ": "),
+        {"B": res.model.B.tolist(), "sigma2": res.model.sigma2.tolist()}
     ) + "\n")
     meta = res.metadata() | {"targets": res.fam.to_lists()}
-    (out / "metadata.json").write_text(
-        json.dumps(meta, separators=(", ", ": ")) + "\n"
-    )
-    print(json.dumps({"out_dir": str(out), "metadata": meta},
-                     separators=(", ", ": ")))
+    (out / "metadata.json").write_text(json.dumps(meta) + "\n")
+    print(json.dumps({"out_dir": str(out), "metadata": meta}))
     return 0
 
 
@@ -201,11 +197,9 @@ def cmd_representatives(args) -> int:
             path = out / f"dag_{i:03d}.json"
             path.write_text(d.to_json() + "\n")
             files.append(str(path))
-        print(json.dumps({"count": len(dags), "files": files},
-                         separators=(", ", ": ")))
+        print(json.dumps({"count": len(dags), "files": files}))
     else:
-        print(json.dumps({"count": len(dags), "dags": [d.to_dict() for d in dags]},
-                         separators=(", ", ": ")))
+        print(json.dumps({"count": len(dags), "dags": [d.to_dict() for d in dags]}))
     return 0
 
 

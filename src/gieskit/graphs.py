@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -251,7 +250,7 @@ class Graph:
         return cls(p, **edges)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(", ", ": "))
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "Graph":
@@ -517,17 +516,11 @@ def has_path(
     blocked = set(forbidden)
     if frm in blocked or to in blocked:
         return False
-    seen = {frm}
-    queue = deque([frm])
-    while queue:
-        a = queue.popleft()
-        for b in g._ch[a] | g._nb[a]:
-            if b == to:
-                return True
-            if b not in seen and b not in blocked:
-                seen.add(b)
-                queue.append(b)
-    return False
+
+    def step(a: int) -> set[int]:
+        return (g._ch[a] | g._nb[a]) - blocked
+
+    return to in _reach(step(frm), step)
 
 
 def cliques_in_neighborhood(

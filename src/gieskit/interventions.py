@@ -136,7 +136,7 @@ class TargetFamily:
         return [sorted(t) for t in self.members]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_lists(), separators=(", ", ": "))
+        return json.dumps(self.to_lists())
 
     @classmethod
     def from_json(cls, s: str) -> "TargetFamily":

@@ -215,6 +215,8 @@ class ScoreCache:
     dataset; also accumulates scoring diagnostics."""
 
     def __init__(self, data: InterventionalDataset, penalty: str = "total"):
+        if penalty not in ("total", "per-node"):
+            raise ScoringError(f"unknown penalty mode {penalty!r}")
         self.data = data
         self.penalty = penalty
         self.memo: dict[tuple[int, frozenset[int]], float] = {}
@@ -270,31 +272,28 @@ def local_score(
     penalty: str = "total",
     cache: ScoreCache | None = None,
 ) -> float:
-    """BIC contribution of vertex v with the given parent set."""
+    """BIC contribution of vertex v with the given parent set. A cache
+    fixes the penalty mode, and `penalty` is then not read."""
+    if cache is None:
+        cache = ScoreCache(data, penalty)
+    elif cache.data is not data:
+        raise ScoringError("cache is bound to a different dataset")
     pa = frozenset(parents)
-    if cache is not None:
-        if cache.data is not data:
-            raise ScoringError("cache is bound to a different dataset")
-        penalty = cache.penalty
-        got = cache.memo.get((v, pa))
-        if got is not None:
-            cache.hits += 1
-            return got
-        cache.misses += 1
-    if penalty not in ("total", "per-node"):
-        raise ScoringError(f"unknown penalty mode {penalty!r}")
+    got = cache.memo.get((v, pa))
+    if got is not None:
+        cache.hits += 1
+        return got
+    cache.misses += 1
     _, rss, n_v = _fit(data, v, tuple(sorted(pa)))
     sigma2 = rss / n_v
     if sigma2 < VARIANCE_FLOOR:
         sigma2 = VARIANCE_FLOOR
-        if cache is not None:
-            cache.variance_clamps += 1
+        cache.variance_clamps += 1
         log.warning("vertex %d: residual variance clamped to %g", v, VARIANCE_FLOOR)
-    n_pen = data.n if penalty == "total" else n_v
+    n_pen = data.n if cache.penalty == "total" else n_v
     score = -0.5 * n_v * (np.log(sigma2) + 1.0) - 0.5 * (1 + len(pa)) * np.log(n_pen)
     score = float(score)
-    if cache is not None:
-        cache.memo[(v, pa)] = score
+    cache.memo[(v, pa)] = score
     return score
 
 

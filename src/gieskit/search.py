@@ -102,7 +102,7 @@ class TraceEntry:
     score: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(", ", ": "))
+        return json.dumps(asdict(self))
 
 
 @dataclass

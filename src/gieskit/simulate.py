@@ -11,8 +11,8 @@ own mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import comb
+from dataclasses import asdict, dataclass
+from math import comb, inf, isfinite
 
 import numpy as np
 
@@ -51,8 +51,10 @@ class SimConfig:
 
     p: vertex count (>= 1); s: forward-edge probability (in [0, 1]); k:
     number of interventional targets besides the observational one; m:
-    intervened vertices per target; n: total sample count. An out-of-range
-    p or s raises InvalidSimConfig naming it.
+    intervened vertices per target; n: total sample count; level_mean,
+    level_sd: mean (finite) and standard deviation (finite, >= 0) of an
+    intervened variable. An out-of-range p, s, level_mean or level_sd
+    raises InvalidSimConfig naming it.
     """
 
     p: int
@@ -69,6 +71,12 @@ class SimConfig:
             raise InvalidSimConfig(f"p must be >= 1, got {self.p}")
         if not 0.0 <= self.s <= 1.0:  # NaN fails every comparison
             raise InvalidSimConfig(f"s must lie in [0, 1], got {self.s}")
+        if not isfinite(self.level_mean):
+            raise InvalidSimConfig(f"level_mean must be finite, got {self.level_mean}")
+        if not 0.0 <= self.level_sd < inf:
+            raise InvalidSimConfig(
+                f"level_sd must be finite and >= 0, got {self.level_sd}"
+            )
 
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
@@ -103,10 +111,12 @@ def random_targets(
     p: int, k: int, m: int, rng: np.random.Generator
 ) -> TargetFamily:
     """The observational target plus k distinct uniformly drawn targets of
-    size m."""
-    if k < 0 or m < 0 or (k > 0 and m > p) or (k > 0 and comb(p, m) < k):
+    size m. The only target of size 0 is the observational one, so k > 0
+    needs m > 0."""
+    if k < 0 or m < 0 or (k > 0 and (m == 0 or m > p or comb(p, m) < k)):
         raise InfeasibleTargets(
-            f"cannot draw {k} distinct targets of size {m} from {p} vertices"
+            f"cannot draw {k} distinct targets of size {m} besides the "
+            f"observational one from {p} vertices"
         )
     targets: list[list[int]] = [[]]
     seen: set[frozenset[int]] = set()
@@ -172,19 +182,7 @@ class SimResult:
     data: InterventionalDataset
 
     def metadata(self) -> dict:
-        out = {
-            "p": self.config.p,
-            "s": self.config.s,
-            "k": self.config.k,
-            "m": self.config.m,
-            "n": self.config.n,
-            "level_mean": self.config.level_mean,
-            "level_sd": self.config.level_sd,
-            "seed": self.config.seed,
-            "replicate": self.replicate,
-            "rng": RNG_ALGORITHM,
-        }
-        return out
+        return asdict(self.config) | {"replicate": self.replicate, "rng": RNG_ALGORITHM}
 
 
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:

@@ -426,14 +426,25 @@ def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
     (("--p", "4", "--s", "1.5", "--k", "0", "--n", "100"), "InvalidSimConfig"),
     (("--p", "0", "--s", "0.5", "--k", "0", "--n", "100"), "InvalidSimConfig"),
     (("--p", "6", "--s", "0.5", "--k", "4", "--n", "3"), "InfeasibleTargets"),
+    (("--p", "4", "--s", "0.5", "--k", "1", "--m", "0", "--n", "20"),
+     "InfeasibleTargets"),
+    (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--level-sd", "-1"),
+     "InvalidSimConfig"),
+    (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--level-sd", "nan"),
+     "InvalidSimConfig"),
+    (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--level-mean", "inf"),
+     "InvalidSimConfig"),
 ])
 def test_simulate_and_sweep_name_a_bad_scenario(tmp_path, capsys, grid, error):
     out = tmp_path / "scenario"
-    code, stdout, err = run(capsys, "simulate", *grid, "--m", "1",
+    # a later --m in the grid overrides this one
+    code, stdout, err = run(capsys, "simulate", "--m", "1", *grid,
                             "--out-dir", str(out))
     assert code == 1 and stdout == "" and not out.exists()
     assert json.loads(err)["error"] == error
-    code, stdout, err = run(capsys, "sweep", *grid, "--m", "1")
+    if "--level-sd" in grid or "--level-mean" in grid:
+        return  # sweep draws every scenario at the default levels
+    code, stdout, err = run(capsys, "sweep", "--m", "1", *grid)
     assert code == 1 and stdout == ""
     assert json.loads(err)["error"] == error
 

@@ -35,17 +35,23 @@ GRID = [
 ]
 
 
-def case_id(cfg: SimConfig, algo: str, max_degree: int | None = None) -> str:
+def case_id(
+    cfg: SimConfig, algo: str, max_degree: int | None = None, penalty: str = "total"
+) -> str:
     cap = "" if max_degree is None else f"-maxdeg{max_degree}"
-    return f"{algo}{cap}-p{cfg.p}-s{cfg.s}-k{cfg.k}-n{cfg.n}-seed{cfg.seed}"
+    pen = "" if penalty == "total" else f"-{penalty}"
+    return f"{algo}{cap}{pen}-p{cfg.p}-s{cfg.s}-k{cfg.k}-n{cfg.n}-seed{cfg.seed}"
 
 
-def run_case(cfg: SimConfig, algo: str, max_degree: int | None = None) -> dict:
+def run_case(
+    cfg: SimConfig, algo: str, max_degree: int | None = None, penalty: str = "total"
+) -> dict:
     sim = simulate(cfg)
     opts = GiesOptions(
         variant="gies-nt" if algo == "gies-nt" else "gies",
         max_degree=max_degree,
         trace=True,
+        penalty=penalty,
     )
     if algo == "gds":
         res = gds(sim.data, sim.fam, opts)
@@ -63,6 +69,11 @@ CASES = [(cfg, algo, None) for cfg in GRID for algo in ALGOS] + [
     if cfg.p == 12
     for algo in ("gies", "gds")
     for max_degree in (2, 3)
+] + [
+    (cfg, algo, None, "per-node")
+    for cfg in GRID
+    if cfg.p == 8
+    for algo in ("gies", "gds")
 ]
 
 
@@ -79,12 +90,10 @@ def test_golden_file_covers_the_grid(golden):
             ("turning", "turn_arrow"), ("turning", "turn_line")} <= kinds
 
 
-@pytest.mark.parametrize(
-    "cfg, algo, max_degree", CASES, ids=[case_id(*case) for case in CASES]
-)
-def test_search_walks_the_golden_trace(golden, cfg, algo, max_degree):
-    want = golden[case_id(cfg, algo, max_degree)]
-    got = run_case(cfg, algo, max_degree)
+@pytest.mark.parametrize("case", CASES, ids=[case_id(*case) for case in CASES])
+def test_search_walks_the_golden_trace(golden, case):
+    want = golden[case_id(*case)]
+    got = run_case(*case)
     assert got["moves"] == want["moves"]
     assert got["score"] == pytest.approx(want["score"], rel=1e-12)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,34 @@ def test_has_path_matches_oracle(g, data):
     assert has_path(g, frm, to, forbidden) == oracles.has_path(g, frm, to, forbidden)
 
 
+def _bfs_has_path(g, frm, to, forbidden=()):
+    """The breadth-first search that has_path ran before it answered
+    through _reach, kept as its reference."""
+    blocked = set(forbidden)
+    if frm in blocked or to in blocked:
+        return False
+    seen = {frm}
+    queue = deque([frm])
+    while queue:
+        a = queue.popleft()
+        for b in g._ch[a] | g._nb[a]:
+            if b == to:
+                return True
+            if b not in seen and b not in blocked:
+                seen.add(b)
+                queue.append(b)
+    return False
+
+
+@settings(max_examples=300)
+@given(mixed_graphs(max_p=8), st.data())
+def test_has_path_matches_the_breadth_first_reference(g, data):
+    # every ordered pair, frm == to and forbidden endpoints included
+    forbidden = data.draw(st.sets(st.integers(1, g.p), max_size=3))
+    for frm, to in itertools.product(g.vertices, repeat=2):
+        assert has_path(g, frm, to, forbidden) == _bfs_has_path(g, frm, to, forbidden)
+
+
 def test_has_path_respects_forbidden_endpoints():
     g = Graph(3, arrows=[(1, 2), (2, 3)])
     assert has_path(g, 1, 3)
@@ -313,6 +342,23 @@ def test_lexbfs_restricted_to_component():
 def test_orient_by_reference_dag():
     order = lexbfs(cases.LEXBFS_START, cases.chordal_7v())
     assert orient_by(order, cases.chordal_7v()) == cases.oriented_7v()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: lexbfs([2, 2], g), GraphError, "start_order contains duplicates"),
+    (lambda g: lexbfs([3], g, {1, 2}), GraphError, "start vertex 3 not in"),
+    (lambda g: is_chordal(g, {1, 5}), GraphError, "vertex 5 outside 1..4"),
+    (lambda g: orient_by([1, 2, 3, 4], Graph(4, arrows=[(1, 2)])), NotUndirected,
+     "requires an undirected graph"),
+    (lambda g: orient_by([1, 2, 2, 4], g), GraphError, "must be a permutation"),
+    (lambda g: topological_order(g), NotUndirected, "requires a fully directed"),
+    (lambda g: is_perfect_elimination([1, 2, 1], g), GraphError,
+     "ordering contains duplicates"),
+], ids=["lexbfs-duplicate", "lexbfs-foreign", "restriction-outside", "orient-arrows",
+        "orient-not-permutation", "topological-lines", "elimination-duplicate"])
+def test_graph_algorithms_name_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call(Graph(4, lines=[(1, 2), (2, 3), (3, 4)]))
 
 
 def test_is_perfect_elimination_fixture():

@@ -331,6 +331,12 @@ def test_enumerate_representatives_respects_limit():
     e = essential_graph(cases.dag_7v(), cases.FAM_T4)
     with pytest.raises(TooManyRepresentatives):
         enumerate_representatives(e, limit=3)
+    # two lines: each component has 2 orientations, within the limit, but
+    # the class has their product, 4
+    two = Graph(4, lines=[(1, 2), (3, 4)])
+    assert len(enumerate_representatives(two, limit=4)) == 4
+    with pytest.raises(TooManyRepresentatives):
+        enumerate_representatives(two, limit=3)
 
 
 @given(dag4_arrows, families4)

@@ -11,6 +11,7 @@ from gieskit import (
     Dag,
     DegenerateColumns,
     FamilyMismatch,
+    GaussianModel,
     Graph,
     InsufficientSamples,
     InterventionalDataset,
@@ -166,6 +167,7 @@ def test_read_csv_rejects_malformed(tmp_path):
     ("x1,x2,target\n1.0,2.0,\n3.0,abc,1\n", "line 3, column x2: 'abc' is not a number"),
     ("x1,x2,target\n1.0,,\n", "line 2, column x2: '' is not a number"),
     ("x1,x2,target\n1.0,2.0,1;a\n", "line 2, column target: '1;a' is not"),
+    ("x1,x3,target\n1.0,2.0,\n", "line 1: CSV columns must be x1..xp,target"),
 ])
 def test_read_csv_names_the_bad_line_and_column(tmp_path, body, message):
     path = tmp_path / "d.csv"
@@ -212,6 +214,17 @@ def test_score_cache(data5):
         local_score(1, {2}, other, cache=cache)
 
 
+@given(st.sets(st.integers(1, 4), max_size=3), st.integers(1, 5),
+       st.sampled_from(["total", "per-node"]))
+def test_cached_and_uncached_scores_are_equal(parents, v, penalty):
+    parents = parents - {v}
+    want = local_score(v, parents, DATA5, penalty=penalty)
+    cache = ScoreCache(DATA5, penalty)
+    assert local_score(v, parents, DATA5, cache=cache) == want  # miss
+    assert local_score(v, parents, DATA5, cache=cache) == want  # hit
+    assert (cache.misses, cache.hits) == (1, 1)
+
+
 def test_score_cache_fixes_the_penalty(data5):
     # a cache bound to per-node overrides the call-site default
     cache = ScoreCache(data5, penalty="per-node")
@@ -220,8 +233,15 @@ def test_score_cache_fixes_the_penalty(data5):
 
 
 def test_unknown_penalty_rejected(data5):
-    with pytest.raises(ScoringError):
+    with pytest.raises(ScoringError, match="unknown penalty mode 'aic'"):
         local_score(1, set(), data5, penalty="aic")
+    with pytest.raises(ScoringError, match="unknown penalty mode 'aic'"):
+        ScoreCache(data5, penalty="aic")
+    # a cache fixes the mode, so the argument is not read
+    cache = ScoreCache(data5)
+    assert local_score(1, set(), data5, penalty="aic", cache=cache) == local_score(
+        1, set(), data5
+    )
 
 
 def test_insufficient_samples():
@@ -298,6 +318,18 @@ def test_mle_params_recovers_the_generating_model():
     for a, b in sim.dag.arrows:
         mask[b - 1, a - 1] = True
     assert np.all(fit.B[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("B, sigma2, message", [
+    (np.zeros((2, 2)), np.ones(3), "B must be 3 x 3"),
+    (np.zeros((3, 3)), np.ones(2), "sigma2 must have length 3"),
+    (np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]), "error variances must be positive"),
+    (np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.ones(3),
+     r"B\[1\]\[0\] nonzero but 1 is not a parent of 2"),
+], ids=["B-shape", "sigma2-length", "variance-zero", "weight-off-parents"])
+def test_gaussian_model_names_bad_parameters(B, sigma2, message):
+    with pytest.raises(ScoringError, match=message):
+        GaussianModel(Dag(3, arrows=[(2, 3)]), B, sigma2)
 
 
 def test_mle_params_size_mismatch(data5):

@@ -137,6 +137,12 @@ def test_random_targets_infeasible():
         random_targets(4, 1, 5, substream(0))
     with pytest.raises(InfeasibleTargets):
         random_targets(4, -1, 1, substream(0))
+    # the only size-0 target is the observational one, already a member
+    with pytest.raises(InfeasibleTargets, match="besides the observational one"):
+        random_targets(4, 1, 0, substream(0))
+    with pytest.raises(InfeasibleTargets):
+        simulate(SimConfig(p=4, s=0.5, k=1, m=0, n=20))
+    assert random_targets(4, 0, 0, substream(0)).to_lists() == [[]]
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -212,21 +218,35 @@ def test_simulate_result_is_internally_consistent():
     assert md["rng"] == "philox"
 
 
-@pytest.mark.parametrize("field, p, s", [
+@pytest.mark.parametrize("field, p, value", [
     ("p", 0, 0.5),
     ("p", -3, 0.5),
     ("s", 4, 1.5),
     ("s", 4, -0.5),
     ("s", 4, math.nan),
+    ("level_sd", 4, -1.0),
+    ("level_sd", 4, math.nan),
+    ("level_sd", 4, math.inf),
+    ("level_mean", 4, math.nan),
+    ("level_mean", 4, math.inf),
+    ("level_mean", 4, -math.inf),
 ])
-def test_simulate_rejects_out_of_range_parameters(field, p, s):
+def test_simulate_rejects_out_of_range_parameters(field, p, value):
+    # value is the bad value of the field, and s where the bad one is p
+    params = {"s": 0.5, field: value, "p": p}
     with pytest.raises(InvalidSimConfig, match=f"^{field} must"):
-        simulate(SimConfig(p=p, s=s, k=0, m=1, n=10))
+        simulate(SimConfig(**params, k=0, m=1, n=10))
 
 
 @pytest.mark.parametrize("p, s, arrows", [(1, 0.5, 0), (4, 0.0, 0), (4, 1.0, 6)])
 def test_simulate_accepts_the_range_ends(p, s, arrows):
     assert len(simulate(SimConfig(p=p, s=s, k=0, m=1, n=10)).dag.arrows) == arrows
+
+
+def test_simulate_accepts_a_zero_level_sd():
+    res = simulate(SimConfig(p=3, s=0.5, k=1, m=1, n=10, level_sd=0.0))
+    (v,) = res.fam[1]
+    assert set(res.data.X[1::2, v - 1]) == {2.0}
 
 
 def test_simulate_config_is_frozen():
