@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Record a BENCH_<n>.json: the benchmark on a parent checkout and on this
+one, in alternating pairs, plus the criterion-11 medians of each.
+
+    python3 scripts/bench_record.py --parent ../parent \
+        --seeds 40 41 42 43 44 45 46 47 48 49 --trace-seed 3 --out BENCH_9.json
+
+For every workload of BENCHMARK.json and every seed, runs
+`perfbench/run.py --trace 0` once in each checkout for the benchmark's
+`run_seconds`, the parent first in even-numbered pairs and the change first
+in odd ones; then one `--trace 1` run per checkout at --trace-seed. Each
+run's result line (the last line it prints) is stored with its workload,
+seed and side. Criterion 11 of tests/test_acceptance.py runs once per
+checkout and its slope and medians are parsed from the line it prints.
+For each workload and end-to-end metric, the file also holds each side's
+median and quartiles and the number of pairs the change won (ties count
+for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shlex
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CRITERION_11 = re.compile(
+    r"criterion 11: (PASS|FAIL) - log-log slope (\S+) over p=(\S+) "
+    r"\(medians (\S+)s\); (\d+)s total"
+)
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def criterion_11(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py", "-k", "criterion_11"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    m = CRITERION_11.search(proc.stdout)
+    if m is None:
+        raise RuntimeError(f"no criterion-11 line from {tree}:\n{proc.stdout}")
+    return {
+        "passed": m[1] == "PASS",
+        "slope": float(m[2]),
+        "medians_s": dict(zip(m[3].split("/"), map(float, m[4].split("/")))),
+        "total_s": int(m[5]),
+    }
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, and the
+    pairs the change won."""
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        values = {
+            side: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == side]
+            for side in ("parent", "change")
+        }
+        out[name] = {
+            side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
+            if len(v) > 1 else {"median": v[0]}
+            for side, v in values.items()
+        }
+        out[name]["change_wins"] = sum(
+            sign * (a - b) > 0 for a, b in zip(values["parent"], values["change"])
+        )
+        out[name]["pairs"] = len(values["change"])
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--trace-seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    record = {
+        "command": shlex.join(["python3", "scripts/bench_record.py", *sys.argv[1:]]),
+        "run_seconds": seconds,
+        "workloads": {},
+    }
+    for w in (w["name"] for w in spec["workloads"]):
+        runs = []
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = bench(sides[side], w, seed, seconds, 0)
+                runs.append({"side": side, "seed": seed, "result": result})
+                print(w, seed, side, json.dumps(result["metrics"]["fit_s"]), flush=True)
+        traced = [
+            {"side": side, "seed": args.trace_seed,
+             "result": bench(tree, w, args.trace_seed, seconds, 1)}
+            for side, tree in sides.items()
+        ]
+        record["workloads"][w] = {
+            "trace_0": runs,
+            "trace_1": traced,
+            "summary": summarize(runs, spec["end_to_end"]),
+        }
+    record["criterion_11"] = {side: criterion_11(tree) for side, tree in sides.items()}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

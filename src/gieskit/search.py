@@ -20,7 +20,11 @@ visiting each v once and sharing the insert term s(v, pa(v) | C) across u.
 They are ranked by score delta; exact ties fall back to the lexicographic
 key (kind, v, u, sorted C), so runs are deterministic. The path conditions
 are checked on this ranked walk only, and only strictly positive deltas are
-accepted. The same driver runs the DAG-space search of `baselines.gds`: a
+accepted. A move changes the pa/nb/ch sets of a few vertices (D), so the
+driver keeps one ranking state per phase that `best_move` brings up to date
+by diffing those sets: it rebuilds the candidates of each v in D or with a
+neighbour in D, and for every other v re-scores only the pairs (u, v) with
+u in D. The same driver runs the DAG-space search of `baselines.gds`: a
 DAG is a graph without lines, on which every C is empty, the candidates
 are exactly the single-arrow insertions, deletions and reversals, and
 `_edit` alone applies a move.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from enum import IntEnum
+from itertools import chain
 from math import fsum
 from typing import Callable, Iterable, Iterator
 
@@ -229,6 +234,8 @@ def move_delta(
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow."""
+    if cache is None:
+        cache = ScoreCache(data)
     C = frozenset(C)
     B = frozenset(g._pa[v]) | C
     terms = [
@@ -343,36 +350,44 @@ _PHASE_KINDS: dict[str, tuple[MoveKind, ...]] = {
 }
 
 
-def _partners(g: Graph, kind: MoveKind, v: int, ad: list, cap: int) -> Iterable[int]:
-    """The u of the pairs (u, v) that a move of the kind acts on."""
+def _partners(
+    g: Graph, kind: MoveKind, v: int, ad: list, cap: int, pool: Iterable[int]
+) -> Iterable[int]:
+    """The u in pool of the pairs (u, v) that a move of the kind acts on."""
     if kind is MoveKind.INSERT:
         if len(ad[v]) >= cap:
             return ()
-        return [u for u in g.vertices if u != v and u not in ad[v] and len(ad[u]) < cap]
+        return [u for u in pool if u != v and u not in ad[v] and len(ad[u]) < cap]
     if kind is MoveKind.DELETE:
-        return g._pa[v] | g._nb[v]
-    return g._nb[v] if kind is MoveKind.TURN_LINE else g._ch[v]
+        edges = g._pa[v] | g._nb[v]
+    else:
+        edges = g._nb[v] if kind is MoveKind.TURN_LINE else g._ch[v]
+    return [u for u in edges if u in pool]
 
 
 def _candidates(
     g: Graph,
     kinds: tuple[MoveKind, ...],
     data: InterventionalDataset,
-    cache: ScoreCache | None = None,
+    cache: ScoreCache,
     max_degree: int | None = None,
+    vertices: Iterable[int] | None = None,
+    partners: Iterable[int] | None = None,
 ) -> Iterator[MoveCandidate]:
     """Every scored (u, v, C) of the given kinds whose C passes its kind's
     rule, visiting each v once; moves that cannot be fitted are skipped.
-    max_degree closes inserts at vertices with that many neighbours."""
+    max_degree closes inserts at vertices with that many neighbours.
+    vertices and partners restrict v and u (default: every vertex)."""
     ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
     cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
-    for v in g.vertices:
+    pool = g.vertices if partners is None else partners
+    for v in g.vertices if vertices is None else vertices:
         nb_v = frozenset(g._nb[v])
         pa_v = frozenset(g._pa[v])
         pairs = [
             (u, nb_v & ad[u], kind, _ADMITS[kind])
             for kind in kinds
-            for u in _partners(g, kind, v, ad, cap)
+            for u in _partners(g, kind, v, ad, cap, pool)
         ]
         if not pairs:
             continue
@@ -395,24 +410,86 @@ def _candidates(
                 yield MoveCandidate(kind, u, v, C, delta)
 
 
+class _Ranking:
+    """What best_move keeps between the calls of one phase on p vertices:
+    the pa/nb/ch sets of each vertex at the last call, and the candidates
+    with a positive delta per v built from them. A fresh ranking has no
+    sets, so its first call finds every vertex changed and builds every
+    candidate."""
+
+    def __init__(self, p: int):
+        self.sets: list[tuple | None] = [None] * (p + 1)
+        self.positive: list[list[MoveCandidate]] = [[] for _ in range(p + 1)]
+
+    def refresh(
+        self,
+        g: Graph,
+        kinds: tuple[MoveKind, ...],
+        data: InterventionalDataset,
+        cache: ScoreCache,
+        max_degree: int | None,
+    ) -> None:
+        """Bring the candidates up to date with g.
+
+        The candidates of a pair (u, v) depend on the sets of u and v, on
+        the lines among nb(v) (the cliques C and how they separate), and
+        under max_degree on |ad(u)| and |ad(v)|. With D the vertices whose
+        sets changed since the last call, v is rebuilt when v is in D or
+        nb(v) meets D; every other v keeps its candidates with u outside D
+        and re-scores its pairs with u in D.
+        """
+        changed = set()
+        for x in g.vertices:
+            sets = (g._pa[x], g._nb[x], g._ch[x])
+            if self.sets[x] != sets:
+                self.sets[x] = tuple(frozenset(s) for s in sets)
+                changed.add(x)
+        rebuild, keep = [], []
+        for v in g.vertices:
+            if v in changed or not changed.isdisjoint(g._nb[v]):
+                rebuild.append(v)
+                self.positive[v] = []
+            else:
+                keep.append(v)
+                self.positive[v] = [c for c in self.positive[v] if c.u not in changed]
+        for c in chain(
+            _candidates(g, kinds, data, cache, max_degree, rebuild),
+            _candidates(g, kinds, data, cache, max_degree, keep, changed),
+        ):
+            if c.delta > 0.0:
+                self.positive[c.v].append(c)
+
+
 def best_move(
     g: Graph,
     phase: str,
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
     max_degree: int | None = None,
+    state: _Ranking | None = None,
 ) -> MoveCandidate | None:
     """Best strictly improving valid move of one phase, or None.
 
     Candidates are sorted by delta (descending) with the lexicographic key
     as tie-break; the expensive path conditions are only checked on this
-    sorted walk, best first.
+    sorted walk, best first. `state` carries the phase's positive
+    candidates from one call to the next: a call rebuilds only those of the
+    vertices that changed or have a changed neighbour, and re-scores the
+    pairs whose u changed (_Ranking.refresh). Pass a state again only with
+    the same phase, data, penalty mode and max_degree. A fresh state, or
+    none, marks every vertex changed, so every candidate is built. Without
+    a cache, the call scores through one fresh cache.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
+    if cache is None:
+        cache = ScoreCache(data)
+    if state is None:
+        state = _Ranking(g.p)
+    state.refresh(g, kinds, data, cache, max_degree)
     ranked = sorted(
-        (c for c in _candidates(g, kinds, data, cache, max_degree) if c.delta > 0.0),
+        (c for cs in state.positive for c in cs),
         key=lambda c: (-c.delta, c.key()),
     )
     # the enumeration checked every condition except the path conditions of
@@ -442,6 +519,7 @@ def run_phases(
     data.check_family(fam)
     data.check_columns()
     cache = ScoreCache(data, penalty=opts.penalty)
+    rankings = {phase: _Ranking(data.p) for phase in _PHASE_KINDS}
     g: Graph = Graph(data.p)
     score = total_score(Dag(data.p), data, cache=cache)
     cache.check_clamps()
@@ -452,7 +530,10 @@ def run_phases(
         nonlocal g, score, steps
         changed = False
         while True:
-            move = best_move(g, phase, data, cache=cache, max_degree=opts.max_degree)
+            move = best_move(
+                g, phase, data, cache=cache, max_degree=opts.max_degree,
+                state=rankings[phase],
+            )
             cache.check_clamps()
             if move is None:
                 return changed

@@ -53,8 +53,8 @@ class SimConfig:
     number of interventional targets besides the observational one; m:
     intervened vertices per target; n: total sample count; level_mean,
     level_sd: mean (finite) and standard deviation (finite, >= 0) of an
-    intervened variable. An out-of-range p, s, level_mean or level_sd
-    raises InvalidSimConfig naming it.
+    intervened variable; seed: RNG seed (>= 0). An out-of-range p, s,
+    level_mean, level_sd or seed raises InvalidSimConfig naming it.
     """
 
     p: int
@@ -77,6 +77,8 @@ class SimConfig:
             raise InvalidSimConfig(
                 f"level_sd must be finite and >= 0, got {self.level_sd}"
             )
+        if self.seed < 0:
+            raise InvalidSimConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
@@ -187,7 +189,10 @@ class SimResult:
 
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:
     """Draw one scenario instance: DAG, model, targets and samples, each
-    from its own substream of (seed, replicate)."""
+    from its own substream of (seed, replicate). A negative replicate
+    raises InvalidSimConfig."""
+    if replicate < 0:
+        raise InvalidSimConfig(f"replicate must be >= 0, got {replicate}")
     c = config
     dag = random_dag(c.p, c.s, substream(c.seed, replicate, _DAG))
     model = random_model(dag, substream(c.seed, replicate, _MODEL))

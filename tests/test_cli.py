@@ -434,6 +434,10 @@ def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
      "InvalidSimConfig"),
     (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--level-mean", "inf"),
      "InvalidSimConfig"),
+    (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--seed", "-1"),
+     "InvalidSimConfig"),
+    (("--p", "4", "--s", "0.5", "--k", "0", "--n", "20", "--replicate", "-1"),
+     "InvalidSimConfig"),
 ])
 def test_simulate_and_sweep_name_a_bad_scenario(tmp_path, capsys, grid, error):
     out = tmp_path / "scenario"
@@ -442,8 +446,8 @@ def test_simulate_and_sweep_name_a_bad_scenario(tmp_path, capsys, grid, error):
                             "--out-dir", str(out))
     assert code == 1 and stdout == "" and not out.exists()
     assert json.loads(err)["error"] == error
-    if "--level-sd" in grid or "--level-mean" in grid:
-        return  # sweep draws every scenario at the default levels
+    if {"--level-sd", "--level-mean", "--replicate"} & set(grid):
+        return  # sweep has no level or --replicate flags
     code, stdout, err = run(capsys, "sweep", "--m", "1", *grid)
     assert code == 1 and stdout == ""
     assert json.loads(err)["error"] == error

@@ -9,7 +9,7 @@ from functools import partial
 from math import fsum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cases
 import gieskit
@@ -38,6 +38,7 @@ from gieskit import (
     apply_turn_line,
     best_move,
     essential_graph,
+    gds,
     ges,
     gies,
     has_path,
@@ -432,6 +433,64 @@ def test_best_move_returns_none_at_a_fixpoint():
     done = gies(SIM6.data, SIM6.fam).graph.graph
     for phase in ("forward", "backward", "turning"):
         assert best_move(done, phase, SIM6.data) is None
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward", "turning"])
+def test_stateless_best_move_fits_each_key_once(phase, monkeypatch):
+    # backward and turning deltas share terms across u, so a call without a
+    # cache must still score through one cache
+    g = gies(SIM6.data, SIM6.fam).graph.graph
+    fits = []
+    fit = gieskit.scoring._fit
+    monkeypatch.setattr(
+        gieskit.scoring, "_fit", lambda data, v, pa: fits.append((v, pa)) or fit(data, v, pa)
+    )
+    best_move(g, phase, SIM6.data)
+    assert fits and len(set(fits)) == len(fits)
+
+
+def _key(c):
+    return (c.key(), c.delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(6, 8),
+    st.integers(0, 2),
+    st.integers(0, 2**16),
+    st.sampled_from(["gies", "gies-nt", "gds"]),
+    st.sampled_from([None, 2]),
+)
+# a line 1 - 4 appears between two neighbours of the unchanged vertex 7,
+# which gives the inserts at 7 the new clique C = {1, 4}
+@example(8, 0, 20, "gies", None)
+def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learner, max_degree):
+    # after every call in a run, the phase's state holds exactly the positive
+    # candidates a full enumeration builds, and the move is the stateless one
+    sim = simulate(SimConfig(p=p, s=0.6, k=k, m=1, n=300, seed=seed))
+    real = gieskit.search.best_move
+    calls = []
+
+    def checked(g, phase, data, cache=None, max_degree=None, state=None):
+        move = real(g, phase, data, cache, max_degree, state)
+        kinds = _PHASE_KINDS[phase]
+        full = [c for c in _candidates(g, kinds, data, cache, max_degree) if c.delta > 0.0]
+        assert sorted(map(_key, (c for cs in state.positive for c in cs))) == sorted(
+            map(_key, full)
+        )
+        assert move == real(g, phase, data, cache, max_degree)
+        calls.append(move)
+        return move
+
+    opts = GiesOptions(variant="gies-nt" if learner == "gies-nt" else "gies",
+                       max_degree=max_degree)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gieskit.search, "best_move", checked)
+        if learner == "gds":
+            res = gds(sim.data, sim.fam, opts)
+        else:
+            res = gies(sim.data, sim.fam, opts)
+    assert res.steps == sum(m is not None for m in calls)
 
 
 # -- the full search -------------------------------------------------------------

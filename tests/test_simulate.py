@@ -230,12 +230,18 @@ def test_simulate_result_is_internally_consistent():
     ("level_mean", 4, math.nan),
     ("level_mean", 4, math.inf),
     ("level_mean", 4, -math.inf),
+    ("seed", 4, -1),
 ])
 def test_simulate_rejects_out_of_range_parameters(field, p, value):
     # value is the bad value of the field, and s where the bad one is p
     params = {"s": 0.5, field: value, "p": p}
     with pytest.raises(InvalidSimConfig, match=f"^{field} must"):
         simulate(SimConfig(**params, k=0, m=1, n=10))
+
+
+def test_simulate_rejects_a_negative_replicate():
+    with pytest.raises(InvalidSimConfig, match="^replicate must"):
+        simulate(SimConfig(p=4, s=0.5, k=0, m=1, n=10), replicate=-1)
 
 
 @pytest.mark.parametrize("p, s, arrows", [(1, 0.5, 0), (4, 0.0, 0), (4, 1.0, 6)])
