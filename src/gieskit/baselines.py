@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 # perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
 from .graphs import Dag, GraphError, has_path  # noqa: F401
 from .interventions import OBSERVATIONAL, TargetFamily, _require_conservative
-from .scoring import InterventionalDataset, ScoreCache, ScoringError, local_score
+from .scoring import UNFITTABLE, InterventionalDataset, ScoreCache, local_score
 from .search import (  # noqa: F401
     GiesOptions,
     MoveCandidate,
@@ -143,12 +143,11 @@ def dp_exact(
             if S.bit_count() <= cap:
                 try:
                     own = local_score(v, frozenset(members(S)), data, cache=cache)
-                except ScoringError:
+                except UNFITTABLE:
                     own = neg_inf
                 if own > best:
                     best, arg = own, S
             bl[S], bp[S] = best, arg
-    cache.check_clamps()
 
     # best_net[U]: best score of a DAG on the vertex set U; sink[U]: its
     # last vertex in topological order (smallest such vertex on ties)

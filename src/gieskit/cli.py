@@ -242,7 +242,13 @@ def cmd_sweep(args) -> int:
         for algo in args.algo
         for rep in range(args.replicates)
     ]
-    threads = max(1, int(os.environ.get("GIESKIT_THREADS", "1")))
+    text = os.environ.get("GIESKIT_THREADS", "1")
+    try:
+        threads = count(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(
+            f"GIESKIT_THREADS must be an integer of at least 1, got {text!r}"
+        ) from None
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             rows = list(pool.map(_sweep_job, jobs))
@@ -256,6 +262,14 @@ def cmd_sweep(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------
+
+
+# argparse quotes this function's name when the text is not an integer
+def count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("representatives", help="enumerate the DAGs of a class")
     sp.add_argument("--graph", required=True, help="essential graph JSON path")
     sp.add_argument("--targets", required=True)
-    sp.add_argument("--limit", type=int, default=10_000)
+    sp.add_argument("--limit", type=count, default=10_000)
     sp.add_argument("--out-dir", help="write one JSON file per DAG")
     sp.set_defaults(func=cmd_representatives)
 
@@ -325,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_out(sp)
     sp.set_defaults(func=cmd_compare)
-
-    # argparse quotes this function's name when the text is not an integer
-    def count(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-        return value
 
     sp = sub.add_parser("sweep", help="simulate+fit+compare over a grid")
     sp.add_argument("--p", type=int, nargs="+", required=True)

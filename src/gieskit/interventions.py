@@ -372,6 +372,8 @@ def enumerate_representatives(
 ) -> list[Dag]:
     """Every member of the equivalence class, as DAGs; raises
     TooManyRepresentatives once more than `limit` members are seen."""
+    if limit < 1:
+        raise GraphError(f"limit must be >= 1, got {limit}")
     g = _as_graph(e)
     base = list(g.arrows)
     per_comp: list[list[tuple[tuple[int, int], ...]]] = []

@@ -18,7 +18,7 @@ equal values to equivalent DAGs, which is what the greedy search exploits.
 from __future__ import annotations
 
 import csv
-import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,9 +27,7 @@ import numpy as np
 from .graphs import Dag, Graph
 from .interventions import Target, TargetFamily
 
-log = logging.getLogger(__name__)
-
-#: Error variances are clamped to this floor before taking logs.
+#: A fit whose residual variance falls below this floor raises DegenerateFit.
 VARIANCE_FLOOR = 1e-12
 
 #: Relative tolerance on QR diagonals below which a design is singular.
@@ -57,11 +55,18 @@ class DegenerateColumns(ScoringError):
 
 
 class DegenerateFit(ScoringError):
-    """A learner's fit left a residual variance below VARIANCE_FLOOR."""
+    """A fit left a residual variance below VARIANCE_FLOOR. Its log would
+    outweigh every other term, and a score clamped at the floor is no
+    longer equal on equivalent DAGs, so no score is returned for it."""
 
 
 class FamilyMismatch(ScoringError):
     """The row targets and the target family do not name the same sets."""
+
+
+#: The errors of a parent set that cannot be fitted. Learners skip such a
+#: set; every other ScoringError stops them.
+UNFITTABLE = (InsufficientSamples, SingularDesign)
 
 
 class InterventionalDataset:
@@ -130,9 +135,8 @@ class InterventionalDataset:
     def check_columns(self) -> None:
         """Reject constant columns, which carry no information about any
         mechanism (a zero column fits exactly with no parents), and columns
-        equal to an earlier one, which fit each other exactly: the clamped
-        zero residual variance of an exact fit outweighs every other term
-        of the score."""
+        equal to an earlier one, which fit each other exactly: both would
+        stop a learner at its first exact fit with DegenerateFit."""
         cols = self.X.T + 0.0  # adding 0.0 turns -0.0 into 0.0
         constant = [f"x{j}" for j, c in enumerate(cols, 1) if (c == c[:1]).all()]
         if constant:
@@ -222,27 +226,18 @@ class ScoreCache:
         self.memo: dict[tuple[int, frozenset[int]], float] = {}
         self.hits = 0
         self.misses = 0
-        self.variance_clamps = 0
-
-    def check_clamps(self) -> None:
-        """Raise DegenerateFit once some fit has been clamped. A clamped
-        score is no longer equal on equivalent DAGs, so a class-space search
-        could accept a move and its reverse forever, and any learner would
-        rank graphs by the floor instead of the data."""
-        if self.variance_clamps:
-            raise DegenerateFit(
-                f"residual variance below {VARIANCE_FLOOR:g} in "
-                f"{self.variance_clamps} fit(s), each logged with its vertex: a "
-                "column is numerically a linear function of others, or of "
-                "negligible scale"
-            )
 
 
+# numpy's warnings are off: the finite check names what they would flag
+@np.errstate(all="ignore")
 def _fit(
     data: InterventionalDataset, v: int, parents: tuple[int, ...]
 ) -> tuple[np.ndarray, float, int]:
     """No-intercept least squares of column v on the parent columns over the
-    rows not intervening on v; returns (coefficients, RSS, row count)."""
+    rows not intervening on v; returns (coefficients, residual variance
+    RSS/n_v, row count n_v). Raises an UNFITTABLE error for a parent set
+    that cannot be fitted, and DegenerateFit for a variance below
+    VARIANCE_FLOOR."""
     rows = data.rows_excluding(v)
     n_v = rows.size
     k = len(parents)
@@ -252,17 +247,32 @@ def _fit(
         )
     y = data.X[rows, v - 1]
     if k == 0:
-        return np.empty(0), float(y @ y), n_v
-    A = data.X[np.ix_(rows, [u - 1 for u in parents])]
-    Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diag(R))
-    if diag.max() == 0.0 or diag.min() < RANK_RTOL * diag.max():
-        raise SingularDesign(
-            f"vertex {v}: parent columns {sorted(parents)} are rank deficient"
+        coef, rss = np.empty(0), float(y @ y)
+    else:
+        A = data.X[np.ix_(rows, [u - 1 for u in parents])]
+        Q, R = np.linalg.qr(A)
+        diag = np.abs(np.diag(R))
+        if diag.max() == 0.0 or diag.min() < RANK_RTOL * diag.max():
+            raise SingularDesign(
+                f"vertex {v}: parent columns {sorted(parents)} are rank deficient"
+            )
+        coef = np.linalg.solve(R, Q.T @ y)
+        resid = y - A @ coef
+        rss = float(resid @ resid)
+        # a non-finite coefficient leaves a non-finite residual, so one
+        # check covers both
+        if not math.isfinite(rss):
+            raise SingularDesign(
+                f"vertex {v}: parent columns {sorted(parents)} give a non-finite fit"
+            )
+    sigma2 = rss / n_v
+    if sigma2 < VARIANCE_FLOOR:
+        raise DegenerateFit(
+            f"vertex {v}, parents {sorted(parents)}: residual variance "
+            f"{sigma2:.3g} below {VARIANCE_FLOOR:g}: a column is numerically "
+            "a linear function of others, or of negligible scale"
         )
-    coef = np.linalg.solve(R, Q.T @ y)
-    resid = y - A @ coef
-    return coef, float(resid @ resid), n_v
+    return coef, sigma2, n_v
 
 
 def local_score(
@@ -284,12 +294,7 @@ def local_score(
         cache.hits += 1
         return got
     cache.misses += 1
-    _, rss, n_v = _fit(data, v, tuple(sorted(pa)))
-    sigma2 = rss / n_v
-    if sigma2 < VARIANCE_FLOOR:
-        sigma2 = VARIANCE_FLOOR
-        cache.variance_clamps += 1
-        log.warning("vertex %d: residual variance clamped to %g", v, VARIANCE_FLOOR)
+    _, sigma2, n_v = _fit(data, v, tuple(sorted(pa)))
     n_pen = data.n if cache.penalty == "total" else n_v
     score = -0.5 * n_v * (np.log(sigma2) + 1.0) - 0.5 * (1 + len(pa)) * np.log(n_pen)
     score = float(score)
@@ -349,8 +354,9 @@ class GaussianModel:
 
 
 def mle_params(d: Dag, data: InterventionalDataset) -> GaussianModel:
-    """Maximum-likelihood weights and error variances of d on the data.
-    Variances are clamped at the floor used by the score."""
+    """Maximum-likelihood weights and error variances of d on the data,
+    from the fits the score uses: a variance below VARIANCE_FLOOR raises
+    DegenerateFit."""
     if d.p != data.p:
         raise ScoringError(f"graph has {d.p} vertices, data has {data.p}")
     p = d.p
@@ -358,8 +364,7 @@ def mle_params(d: Dag, data: InterventionalDataset) -> GaussianModel:
     sigma2 = np.zeros(p)
     for v in d.vertices:
         parents = tuple(sorted(d._pa[v]))
-        coef, rss, n_v = _fit(data, v, parents)
+        coef, sigma2[v - 1], _ = _fit(data, v, parents)
         for u, c in zip(parents, coef):
             B[v - 1, u - 1] = c
-        sigma2[v - 1] = max(rss / n_v, VARIANCE_FLOOR)
     return GaussianModel(dag=d, B=B, sigma2=sigma2)

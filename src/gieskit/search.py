@@ -62,9 +62,9 @@ from .interventions import (
     replace_unprotected,
 )
 from .scoring import (
+    UNFITTABLE,
     InterventionalDataset,
     ScoreCache,
-    ScoringError,
     local_score,
     total_score,
 )
@@ -405,7 +405,7 @@ def _candidates(
                         delta = local_score(v, pa_v | C | {u}, data, cache=cache) - base
                     else:
                         delta = move_delta(kind, g, u, v, C, data, cache)
-                except ScoringError:
+                except UNFITTABLE:
                     continue
                 yield MoveCandidate(kind, u, v, C, delta)
 
@@ -522,7 +522,6 @@ def run_phases(
     rankings = {phase: _Ranking(data.p) for phase in _PHASE_KINDS}
     g: Graph = Graph(data.p)
     score = total_score(Dag(data.p), data, cache=cache)
-    cache.check_clamps()
     trace = SearchTrace() if opts.trace else None
     steps = 0
 
@@ -534,7 +533,6 @@ def run_phases(
                 g, phase, data, cache=cache, max_degree=opts.max_degree,
                 state=rankings[phase],
             )
-            cache.check_clamps()
             if move is None:
                 return changed
             g = apply(g, move)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gieskit
 import oracles
 from gieskit import (
     Dag,
@@ -221,16 +220,23 @@ def _zero_x2(X):
     (_duplicate_x3_as_x5, "duplicated columns: x5 = x3"),
     (_zero_x2, "constant columns: x2"),
 ], ids=["duplicated", "constant"])
-def test_learners_reject_constant_and_duplicated_columns(algo, edit, named, caplog):
+def test_learners_reject_constant_and_duplicated_columns(
+    algo, edit, named, monkeypatch
+):
     # without the check each column lets a regression fit exactly, and the
-    # clamped zero variance scores the result at about +3500 instead of -382
+    # learner stops at that fit with DegenerateFit instead of naming the
+    # column
     X = SIM6_N300.data.X.copy()
     edit(X)
     data = InterventionalDataset(X, SIM6_N300.data.targets)
-    with caplog.at_level(logging.WARNING, logger="gieskit.scoring"):
-        with pytest.raises(DegenerateColumns, match=named):
-            _learners(SIM6_N300.fam)[algo](data)
-    assert not caplog.records  # rejected before any fit
+    fits = []
+    fit = gieskit.scoring._fit
+    monkeypatch.setattr(
+        gieskit.scoring, "_fit", lambda data, v, pa: fits.append((v, pa)) or fit(data, v, pa)
+    )
+    with pytest.raises(DegenerateColumns, match=named):
+        _learners(SIM6_N300.fam)[algo](data)
+    assert not fits  # rejected before any fit
     assert issubclass(DegenerateColumns, ScoringError)
 
 

@@ -296,6 +296,16 @@ def test_representatives_out_dir_writes_one_file_per_dag(tmp_path, capsys):
     assert d.p == 7
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_representatives_limit_below_one_is_a_usage_error(tmp_path, capsys, limit):
+    path = write_json(tmp_path / "e.json", cases.eg_7v_t4())
+    with pytest.raises(SystemExit) as err:
+        main(["representatives", "--graph", path, "--targets", "[]; [4]",
+              "--limit", limit])
+    assert err.value.code == 2
+    assert f"--limit: must be at least 1, got {limit}" in capsys.readouterr().err
+
+
 def test_representatives_rejects_non_essential_input(tmp_path, capsys):
     # a raw DAG with unprotected arrows is not a class representative graph
     path = write_json(tmp_path / "d.json", cases.dag_7v())
@@ -409,6 +419,18 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
             del row["runtime_s"]
     assert len(rows["1"]) == 10
     assert rows["1"] == rows["2"]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+def test_sweep_names_a_bad_thread_count(capsys, monkeypatch, threads):
+    monkeypatch.setenv("GIESKIT_THREADS", threads)
+    code, stdout, err = run(capsys, "sweep", "--p", "4", "--s", "0.5", "--k",
+                            "0", "--m", "1", "--n", "100")
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"GIESKIT_THREADS must be an integer of at least 1, got {threads!r}",
+    }
 
 
 def test_sweep_rejects_an_empty_grid(tmp_path, capsys):

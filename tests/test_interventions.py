@@ -339,6 +339,16 @@ def test_enumerate_representatives_respects_limit():
         enumerate_representatives(two, limit=3)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("graph", [
+    Graph(3, arrows=[(1, 2)]),  # a one-DAG class
+    Graph(3, lines=[(1, 2)]),
+], ids=["arrow", "line"])
+def test_enumerate_representatives_rejects_a_limit_below_one(graph, limit):
+    with pytest.raises(GraphError, match=f"^limit must be >= 1, got {limit}$"):
+        enumerate_representatives(graph, limit=limit)
+
+
 @given(dag4_arrows, families4)
 def test_enumerate_representatives_is_exactly_the_class(arrows, targets):
     fam = TargetFamily(targets)

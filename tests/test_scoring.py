@@ -10,21 +10,25 @@ import oracles
 from gieskit import (
     Dag,
     DegenerateColumns,
+    DegenerateFit,
     FamilyMismatch,
     GaussianModel,
     Graph,
     InsufficientSamples,
     InterventionalDataset,
+    MoveKind,
     NonFiniteData,
     ScoreCache,
     ScoringError,
     SimConfig,
     SingularDesign,
     TargetFamily,
+    best_move,
     enumerate_representatives,
     essential_graph,
     local_score,
     mle_params,
+    move_delta,
     simulate,
     total_score,
 )
@@ -258,6 +262,42 @@ def test_singular_design():
     data = InterventionalDataset(X, [()] * 20)
     with pytest.raises(SingularDesign):
         local_score(3, {1, 2}, data)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_fit_is_a_singular_design():
+    # subnormal parent columns pass the rank test, but their solution
+    # overflows and the residual is NaN
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((50, 3))
+    X = np.column_stack([z[:, 0], 1e-310 * z[:, 1], 1e-310 * z[:, 2]])
+    data = InterventionalDataset(X, [()] * 50)
+    named = r"^vertex 1: parent columns \[2, 3\] give a non-finite fit$"
+    with pytest.raises(SingularDesign, match=named):
+        local_score(1, (2, 3), data)
+
+
+# x2 = 1e-7 z has a residual variance below the floor with or without x1
+_rng = np.random.default_rng(0)
+_z = _rng.standard_normal(50)
+TINY_X2 = InterventionalDataset(
+    np.column_stack([_z + 0.5 * _rng.standard_normal(50), 1e-7 * _z]), [()] * 50
+)
+
+
+@pytest.mark.parametrize("score", [
+    lambda: local_score(2, (), TINY_X2),
+    lambda: local_score(2, (1,), TINY_X2),
+    lambda: total_score(Dag(2), TINY_X2),
+    lambda: mle_params(Dag(2, arrows=[(1, 2)]), TINY_X2),
+    lambda: move_delta(MoveKind.INSERT, Graph(2), 1, 2, (), TINY_X2),
+    lambda: best_move(Graph(2), "forward", TINY_X2),
+], ids=["local_score", "local_score-parent", "total_score", "mle_params",
+        "move_delta", "best_move"])
+def test_a_fit_below_the_variance_floor_names_its_vertex(score):
+    with pytest.raises(DegenerateFit, match=r"^vertex 2, parents \[(1)?\]: .* below 1e-12"):
+        score()
+    assert np.isfinite(local_score(1, (2,), TINY_X2))  # a real fit still scores
 
 
 # -- total score ---------------------------------------------------------------

@@ -449,6 +449,19 @@ def test_stateless_best_move_fits_each_key_once(phase, monkeypatch):
     assert fits and len(set(fits)) == len(fits)
 
 
+def test_best_move_refuses_a_cache_bound_to_other_data():
+    # a foreign cache is a caller's error, not a parent set to skip
+    foreign = ScoreCache(SIM6.data.erase_targets())
+    with pytest.raises(ScoringError, match="bound to a different dataset"):
+        best_move(Graph(6), "forward", SIM6.data, cache=foreign)
+
+
+def test_move_delta_refuses_a_cache_bound_to_other_data():
+    foreign = ScoreCache(SIM6.data.erase_targets())
+    with pytest.raises(ScoringError, match="bound to a different dataset"):
+        move_delta(MoveKind.INSERT, Graph(6), 1, 2, (), SIM6.data, foreign)
+
+
 def _key(c):
     return (c.key(), c.delta)
 
