@@ -130,6 +130,12 @@ def dp_exact(
     best_local = [None] + [[neg_inf] * (full + 1) for _ in range(p)]
     best_pa = [None] + [[0] * (full + 1) for _ in range(p)]
     for v in range(1, p + 1):
+        # one fill scores v's whole table: every S without v within the cap
+        cache.fill(
+            (v, frozenset(members(S)))
+            for S in range(full + 1)
+            if not S & bit(v) and S.bit_count() <= cap
+        )
         bl, bp = best_local[v], best_pa[v]
         bl[0] = local_score(v, frozenset(), data, cache=cache)
         for S in range(1, full + 1):

@@ -124,11 +124,11 @@ class TargetFamily:
     def membership_index(self) -> dict[int, frozenset[int]]:
         """Map vertex -> indices of unique members containing it; two
         vertices are separated by some target iff their index sets differ."""
-        out: dict[int, frozenset[int]] = {}
-        verts = set().union(*self.unique) if self.members else set()
-        for v in verts:
-            out[v] = frozenset(i for i, t in enumerate(self.unique) if v in t)
-        return out
+        unique = self.unique
+        return {
+            v: frozenset(i for i, t in enumerate(unique) if v in t)
+            for v in set().union(*unique)
+        }
 
     # -- serialization: JSON array of arrays, e.g. [[], [4], [3, 5]] --
 

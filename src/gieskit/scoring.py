@@ -13,6 +13,12 @@ with n_v the number of usable rows and RSS the residual sum of squares.
 Summed over vertices this is the maximized log-likelihood minus
 (p + #edges)/2 * log(n): the BIC. The score is decomposable and assigns
 equal values to equivalent DAGs, which is what the greedy search exploits.
+
+Scores are computed in batches: `ScoreCache.fill` fits every missing
+(v, P) key of a batch at once, stacking the designs of one row count and
+parent-set size into one QR. numpy makes the same LAPACK/BLAS call per
+stack member as for a single matrix, so each score is bitwise the score of
+its own fit, whatever batch it was computed in.
 """
 
 from __future__ import annotations
@@ -216,63 +222,136 @@ def _cell_error(line: int, header: list[str], rec: list[str]) -> ScoringError:
 
 class ScoreCache:
     """Memo of local scores keyed by (vertex, parent set), bound to one
-    dataset; also accumulates scoring diagnostics."""
+    dataset. A key that cannot be scored keeps its error, so a later lookup
+    raises it again without a refit. `misses` counts the keys scored,
+    `hits` the lookups served from the memo."""
 
     def __init__(self, data: InterventionalDataset, penalty: str = "total"):
         if penalty not in ("total", "per-node"):
             raise ScoringError(f"unknown penalty mode {penalty!r}")
         self.data = data
         self.penalty = penalty
-        self.memo: dict[tuple[int, frozenset[int]], float] = {}
+        self.memo: dict[tuple[int, frozenset[int]], float | ScoringError] = {}
         self.hits = 0
         self.misses = 0
+
+    def fill(self, keys: Iterable[tuple[int, frozenset[int]]]) -> None:
+        """Score every key missing from the memo, in one stacked fit."""
+        memo = self.memo
+        missing = list(dict.fromkeys(key for key in keys if key not in memo))
+        if not missing:
+            return
+        self.misses += len(missing)
+        fits = _fit(self.data, [(v, tuple(sorted(pa))) for v, pa in missing])
+        n = self.data.n
+        for (v, pa), fit in zip(missing, fits):
+            if isinstance(fit, ScoringError):
+                memo[v, pa] = fit
+                continue
+            _, sigma2, n_v = fit
+            n_pen = n if self.penalty == "total" else n_v
+            score = -0.5 * n_v * (np.log(sigma2) + 1.0) - 0.5 * (1 + len(pa)) * np.log(n_pen)
+            memo[v, pa] = float(score)
+
+
+#: Element budget of one stacked fit: the parent sets of one size on one row
+#: count are fitted in chunks of at most this many design entries (members
+#: x rows x parents), and of at least one member.
+STACK_BUDGET = 32768
+
+Fit = tuple[np.ndarray, float, int]
 
 
 # numpy's warnings are off: the finite check names what they would flag
 @np.errstate(all="ignore")
 def _fit(
-    data: InterventionalDataset, v: int, parents: tuple[int, ...]
-) -> tuple[np.ndarray, float, int]:
+    data: InterventionalDataset, keys: Sequence[tuple[int, tuple[int, ...]]]
+) -> list[Fit | ScoringError]:
     """No-intercept least squares of column v on the parent columns over the
-    rows not intervening on v; returns (coefficients, residual variance
-    RSS/n_v, row count n_v). Raises an UNFITTABLE error for a parent set
-    that cannot be fitted, and DegenerateFit for a variance below
-    VARIANCE_FLOOR."""
-    rows = data.rows_excluding(v)
-    n_v = rows.size
-    k = len(parents)
-    if n_v <= k + 1:
-        raise InsufficientSamples(
-            f"vertex {v}: {n_v} usable rows cannot identify {k} coefficients"
-        )
-    y = data.X[rows, v - 1]
-    if k == 0:
-        coef, rss = np.empty(0), float(y @ y)
-    else:
-        A = data.X[np.ix_(rows, [u - 1 for u in parents])]
-        Q, R = np.linalg.qr(A)
-        diag = np.abs(np.diag(R))
-        if diag.max() == 0.0 or diag.min() < RANK_RTOL * diag.max():
-            raise SingularDesign(
-                f"vertex {v}: parent columns {sorted(parents)} are rank deficient"
+    rows not intervening on v, for every (v, parents) key; returns per key
+    (coefficients, residual variance RSS/n_v, row count n_v), or the error
+    of a key that cannot be scored: an UNFITTABLE error, or DegenerateFit
+    for a variance below VARIANCE_FLOOR.
+
+    Keys of one row count and parent-set size are fitted together, by QR on
+    a stack of designs. numpy's stacked qr, solve and matmul make the same
+    LAPACK/BLAS call per member as on one matrix, so each member's result
+    is bitwise the result of fitting it alone."""
+    out: list[Fit | ScoringError | None] = [None] * len(keys)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (v, parents) in enumerate(keys):
+        n_v = data.rows_excluding(v).size
+        k = len(parents)
+        if n_v <= k + 1:
+            out[i] = InsufficientSamples(
+                f"vertex {v}: {n_v} usable rows cannot identify {k} coefficients"
             )
-        coef = np.linalg.solve(R, Q.T @ y)
-        resid = y - A @ coef
-        rss = float(resid @ resid)
+        else:
+            groups.setdefault((n_v, k), []).append(i)
+    for (n_v, k), members in groups.items():
+        step = max(1, STACK_BUDGET // (n_v * max(k, 1)))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            fits = _fit_stack(data, [keys[i] for i in chunk], n_v)
+            for i, fit in zip(chunk, fits):
+                out[i] = fit
+    return out
+
+
+def _fit_stack(
+    data: InterventionalDataset, keys: list[tuple[int, tuple[int, ...]]], n_v: int
+) -> list[Fit | ScoringError]:
+    """_fit of keys that share the row count n_v and the parent-set size."""
+    # gathered from X by one flat offset per entry, which is faster than
+    # indexing X by rows and columns at once
+    p = data.p
+    flat = data.X.ravel()
+    rows = np.stack([data.rows_excluding(v) for v, _ in keys]) * p
+    Y = flat.take(rows + np.array([v - 1 for v, _ in keys])[:, None])
+    if len(keys[0][1]) == 0:
+        full_rank = [True] * len(keys)
+        fitted = ((np.empty(0), float(y @ y)) for y in Y)
+    else:
+        cols = np.array([parents for _, parents in keys]) - 1
+        A = flat.take(rows[:, None, :] + cols[:, :, None])
+        A = np.ascontiguousarray(A.transpose(0, 2, 1))
+        Q, R = np.linalg.qr(A)
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        dmax = diag.max(axis=1)
+        full_rank = (dmax != 0.0) & ~(diag.min(axis=1) < RANK_RTOL * dmax)
+        # a rank-deficient member would fail solve for the whole stack
+        if not full_rank.all():
+            Q, R, A, Y = Q[full_rank], R[full_rank], A[full_rank], Y[full_rank]
+        Yc = Y[:, :, None]
+        coefs = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Yc)
+        resid = Yc - A @ coefs
+        rss = (resid.transpose(0, 2, 1) @ resid)[:, 0, 0]
+        fitted = zip(coefs[:, :, 0], rss.tolist())
+    out: list[Fit | ScoringError] = []
+    for (v, parents), good in zip(keys, full_rank):
+        if not good:
+            out.append(SingularDesign(
+                f"vertex {v}: parent columns {sorted(parents)} are rank deficient"
+            ))
+            continue
+        coef, rss_v = next(fitted)
         # a non-finite coefficient leaves a non-finite residual, so one
         # check covers both
-        if not math.isfinite(rss):
-            raise SingularDesign(
+        if not math.isfinite(rss_v):
+            out.append(SingularDesign(
                 f"vertex {v}: parent columns {sorted(parents)} give a non-finite fit"
-            )
-    sigma2 = rss / n_v
-    if sigma2 < VARIANCE_FLOOR:
-        raise DegenerateFit(
-            f"vertex {v}, parents {sorted(parents)}: residual variance "
-            f"{sigma2:.3g} below {VARIANCE_FLOOR:g}: a column is numerically "
-            "a linear function of others, or of negligible scale"
-        )
-    return coef, sigma2, n_v
+            ))
+            continue
+        sigma2 = rss_v / n_v
+        if sigma2 < VARIANCE_FLOOR:
+            out.append(DegenerateFit(
+                f"vertex {v}, parents {sorted(parents)}: residual variance "
+                f"{sigma2:.3g} below {VARIANCE_FLOOR:g}: a column is numerically "
+                "a linear function of others, or of negligible scale"
+            ))
+            continue
+        out.append((coef, sigma2, n_v))
+    return out
 
 
 def local_score(
@@ -283,23 +362,23 @@ def local_score(
     cache: ScoreCache | None = None,
 ) -> float:
     """BIC contribution of vertex v with the given parent set. A cache
-    fixes the penalty mode, and `penalty` is then not read."""
+    fixes the penalty mode, and `penalty` is then not read. A key missing
+    from the cache is scored by a fill of that one key."""
     if cache is None:
         cache = ScoreCache(data, penalty)
     elif cache.data is not data:
         raise ScoringError("cache is bound to a different dataset")
-    pa = frozenset(parents)
-    got = cache.memo.get((v, pa))
-    if got is not None:
+    key = (v, frozenset(parents))
+    got = cache.memo.get(key)
+    if got is None:
+        cache.fill((key,))
+        got = cache.memo[key]
+    else:
         cache.hits += 1
-        return got
-    cache.misses += 1
-    _, sigma2, n_v = _fit(data, v, tuple(sorted(pa)))
-    n_pen = data.n if cache.penalty == "total" else n_v
-    score = -0.5 * n_v * (np.log(sigma2) + 1.0) - 0.5 * (1 + len(pa)) * np.log(n_pen)
-    score = float(score)
-    cache.memo[(v, pa)] = score
-    return score
+    if isinstance(got, ScoringError):
+        # a copy, so the memo holds no traceback and the frames it keeps
+        raise type(got)(*got.args)
+    return got
 
 
 def total_score(
@@ -362,9 +441,11 @@ def mle_params(d: Dag, data: InterventionalDataset) -> GaussianModel:
     p = d.p
     B = np.zeros((p, p))
     sigma2 = np.zeros(p)
-    for v in d.vertices:
-        parents = tuple(sorted(d._pa[v]))
-        coef, sigma2[v - 1], _ = _fit(data, v, parents)
+    keys = [(v, tuple(sorted(d._pa[v]))) for v in d.vertices]
+    for (v, parents), fit in zip(keys, _fit(data, keys)):
+        if isinstance(fit, ScoringError):
+            raise fit
+        coef, sigma2[v - 1], _ = fit
         for u, c in zip(parents, coef):
             B[v - 1, u - 1] = c
     return GaussianModel(dag=d, B=B, sigma2=sigma2)

@@ -15,10 +15,12 @@ relaxes unprotected arrows to reach the new class's essential graph.
 
 The driver repeats three phases to a fixpoint each: forward (inserts),
 backward (deletes) and turning; the outer loop continues while backward or
-turning still improve. One generator yields the candidates of every phase,
-visiting each v once and sharing the insert term s(v, pa(v) | C) across u.
-They are ranked by score delta; exact ties fall back to the lexicographic
-key (kind, v, u, sorted C), so runs are deterministic. The path conditions
+turning still improve. One generator lists the moves of every phase,
+visiting each v once. The local-score keys of all the moves of a call are
+scored in one cache fill (`ScoreCache.fill`, one stacked fit), and every
+delta is then formed from the memo. The candidates are ranked by delta;
+exact ties fall back to the lexicographic key (kind, v, u, sorted C),
+computed once per candidate, so runs are deterministic. The path conditions
 are checked on this ranked walk only, and only strictly positive deltas are
 accepted. A move changes the pa/nb/ch sets of a few vertices (D), so the
 driver keeps one ranking state per phase that `best_move` brings up to date
@@ -35,8 +37,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from itertools import chain
 from math import fsum
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .graphs import (
@@ -91,9 +95,15 @@ class MoveCandidate:
     C: frozenset[int]
     delta: float
 
+    @cached_property
+    def rank(self) -> tuple:
+        """Sort key of the ranking, computed once: best delta first, then
+        key()."""
+        return (-self.delta, int(self.kind), self.v, self.u, tuple(sorted(self.C)))
+
     def key(self) -> tuple:
         """Deterministic tie-break key (kind, v, u, sorted C)."""
-        return (int(self.kind), self.v, self.u, tuple(sorted(self.C)))
+        return self.rank[1:]
 
 
 @dataclass
@@ -221,6 +231,42 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
 # -- score deltas -----------------------------------------------------------
 
 
+def _move_keys(
+    kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]
+) -> tuple[tuple[int, frozenset[int]], ...]:
+    """The local-score keys of a move's delta, in the order move_delta
+    reads them: with B = pa(v) | C, (v, B | {u}) and (v, B - {u}); a turn
+    adds (u, P - {v}) and (u, P | {v}), with P = pa(u) | (C & N) for a
+    turn-line and P = pa(u) for a turn-arrow."""
+    B = frozenset(g._pa[v]) | C
+    keys = ((v, B | {u}), (v, B - {u}))
+    if kind is MoveKind.INSERT or kind is MoveKind.DELETE:
+        return keys
+    P = frozenset(g._pa[u])
+    if kind is MoveKind.TURN_LINE:
+        P |= C & g._nb[v] & g.adjacent(u)
+    return keys + ((u, P - {v}), (u, P | {v}))
+
+
+def _delta(
+    kind: MoveKind,
+    keys: tuple[tuple[int, frozenset[int]], ...],
+    data: InterventionalDataset,
+    cache: ScoreCache,
+) -> float:
+    """The delta of a move from its keys (_move_keys): the first score of
+    each pair minus the second, negated for a delete."""
+    s = [local_score(w, P, data, cache=cache) for w, P in keys]
+    # one subtraction, like fsum, rounds the exact difference once
+    if kind is MoveKind.INSERT:
+        return s[0] - s[1]
+    if kind is MoveKind.DELETE:
+        return s[1] - s[0]
+    # fsum rounds the exact sum once: the reverse move's delta is exactly the
+    # negation, so score-neutral turns cannot cycle on rounding noise
+    return fsum((s[0], -s[1], s[2], -s[3]))
+
+
 def move_delta(
     kind: MoveKind,
     g: Graph,
@@ -236,25 +282,7 @@ def move_delta(
     and P = pa(u) for a turn-arrow."""
     if cache is None:
         cache = ScoreCache(data)
-    C = frozenset(C)
-    B = frozenset(g._pa[v]) | C
-    terms = [
-        local_score(v, B | {u}, data, cache=cache),
-        -local_score(v, B - {u}, data, cache=cache),
-    ]
-    if kind is MoveKind.DELETE:
-        terms = [-t for t in terms]
-    elif kind is not MoveKind.INSERT:
-        P = frozenset(g._pa[u])
-        if kind is MoveKind.TURN_LINE:
-            P |= C & g._nb[v] & g.adjacent(u)
-        terms += (
-            local_score(u, P - {v}, data, cache=cache),
-            -local_score(u, P | {v}, data, cache=cache),
-        )
-    # fsum rounds the exact sum once: the reverse move's delta is exactly the
-    # negation, so score-neutral turns cannot cycle on rounding noise
-    return fsum(terms)
+    return _delta(kind, _move_keys(kind, g, u, v, frozenset(C)), data, cache)
 
 
 # -- application ------------------------------------------------------------
@@ -365,6 +393,55 @@ def _partners(
     return [u for u in edges if u in pool]
 
 
+def _moves(
+    g: Graph,
+    kinds: tuple[MoveKind, ...],
+    max_degree: int | None = None,
+    vertices: Iterable[int] | None = None,
+    partners: Iterable[int] | None = None,
+) -> Iterator[tuple[MoveKind, int, int, frozenset[int]]]:
+    """Every (kind, u, v, C) of the given kinds whose C passes its kind's
+    rule, visiting each v once. max_degree closes inserts at vertices with
+    that many neighbours. vertices and partners restrict v and u (default:
+    every vertex)."""
+    ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
+    cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
+    pool = g.vertices if partners is None else partners
+    for v in g.vertices if vertices is None else vertices:
+        nb_v = frozenset(g._nb[v])
+        pairs = [
+            (u, nb_v & ad[u], kind, _ADMITS[kind])
+            for kind in kinds
+            for u in _partners(g, kind, v, ad, cap, pool)
+        ]
+        if not pairs:
+            continue
+        for C in cliques_in_neighborhood(g, nb_v):
+            for u, N, kind, admits in pairs:
+                if admits(g, nb_v, N, u, C):
+                    yield kind, u, v, C
+
+
+def _scored(
+    g: Graph,
+    moves: Iterable[tuple[MoveKind, int, int, frozenset[int]]],
+    data: InterventionalDataset,
+    cache: ScoreCache,
+) -> Iterator[MoveCandidate]:
+    """The moves as scored candidates, in order; moves that cannot be fitted
+    are skipped. One cache fill scores every key the moves need, so each
+    delta is formed from memo hits."""
+    moves = list(moves)
+    keys = [_move_keys(kind, g, u, v, C) for kind, u, v, C in moves]
+    cache.fill(chain.from_iterable(keys))
+    for (kind, u, v, C), move_keys in zip(moves, keys):
+        try:
+            delta = _delta(kind, move_keys, data, cache)
+        except UNFITTABLE:
+            continue
+        yield MoveCandidate(kind, u, v, C, delta)
+
+
 def _candidates(
     g: Graph,
     kinds: tuple[MoveKind, ...],
@@ -375,39 +452,9 @@ def _candidates(
     partners: Iterable[int] | None = None,
 ) -> Iterator[MoveCandidate]:
     """Every scored (u, v, C) of the given kinds whose C passes its kind's
-    rule, visiting each v once; moves that cannot be fitted are skipped.
-    max_degree closes inserts at vertices with that many neighbours.
-    vertices and partners restrict v and u (default: every vertex)."""
-    ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
-    cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
-    pool = g.vertices if partners is None else partners
-    for v in g.vertices if vertices is None else vertices:
-        nb_v = frozenset(g._nb[v])
-        pa_v = frozenset(g._pa[v])
-        pairs = [
-            (u, nb_v & ad[u], kind, _ADMITS[kind])
-            for kind in kinds
-            for u in _partners(g, kind, v, ad, cap, pool)
-        ]
-        if not pairs:
-            continue
-        for C in cliques_in_neighborhood(g, nb_v):
-            base = None
-            for u, N, kind, admits in pairs:
-                if not admits(g, nb_v, N, u, C):
-                    continue
-                try:
-                    # the insert delta is move_delta's, with its u-independent
-                    # term looked up once per C
-                    if kind is MoveKind.INSERT:
-                        if base is None:
-                            base = local_score(v, pa_v | C, data, cache=cache)
-                        delta = local_score(v, pa_v | C | {u}, data, cache=cache) - base
-                    else:
-                        delta = move_delta(kind, g, u, v, C, data, cache)
-                except UNFITTABLE:
-                    continue
-                yield MoveCandidate(kind, u, v, C, delta)
+    rule (_moves, with the same restrictions), visiting each v once; moves
+    that cannot be fitted are skipped."""
+    return _scored(g, _moves(g, kinds, max_degree, vertices, partners), data, cache)
 
 
 class _Ranking:
@@ -452,10 +499,11 @@ class _Ranking:
             else:
                 keep.append(v)
                 self.positive[v] = [c for c in self.positive[v] if c.u not in changed]
-        for c in chain(
-            _candidates(g, kinds, data, cache, max_degree, rebuild),
-            _candidates(g, kinds, data, cache, max_degree, keep, changed),
-        ):
+        moves = chain(
+            _moves(g, kinds, max_degree, rebuild),
+            _moves(g, kinds, max_degree, keep, changed),
+        )
+        for c in _scored(g, moves, data, cache):
             if c.delta > 0.0:
                 self.positive[c.v].append(c)
 
@@ -489,8 +537,7 @@ def best_move(
         state = _Ranking(g.p)
     state.refresh(g, kinds, data, cache, max_degree)
     ranked = sorted(
-        (c for cs in state.positive for c in cs),
-        key=lambda c: (-c.delta, c.key()),
+        (c for cs in state.positive for c in cs), key=attrgetter("rank")
     )
     # the enumeration checked every condition except the path conditions of
     # insert and turn-arrow, which valid_move checks here on the ranked walk

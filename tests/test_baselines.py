@@ -232,7 +232,7 @@ def test_learners_reject_constant_and_duplicated_columns(
     fits = []
     fit = gieskit.scoring._fit
     monkeypatch.setattr(
-        gieskit.scoring, "_fit", lambda data, v, pa: fits.append((v, pa)) or fit(data, v, pa)
+        gieskit.scoring, "_fit", lambda data, keys: fits.extend(keys) or fit(data, keys)
     )
     with pytest.raises(DegenerateColumns, match=named):
         _learners(SIM6_N300.fam)[algo](data)

@@ -443,7 +443,7 @@ def test_stateless_best_move_fits_each_key_once(phase, monkeypatch):
     fits = []
     fit = gieskit.scoring._fit
     monkeypatch.setattr(
-        gieskit.scoring, "_fit", lambda data, v, pa: fits.append((v, pa)) or fit(data, v, pa)
+        gieskit.scoring, "_fit", lambda data, keys: fits.extend(keys) or fit(data, keys)
     )
     best_move(g, phase, SIM6.data)
     assert fits and len(set(fits)) == len(fits)
