@@ -130,14 +130,16 @@ def dp_exact(
     best_local = [None] + [[neg_inf] * (full + 1) for _ in range(p)]
     best_pa = [None] + [[0] * (full + 1) for _ in range(p)]
     for v in range(1, p + 1):
-        # one fill scores v's whole table: every S without v within the cap
-        cache.fill(
-            (v, frozenset(members(S)))
+        # v's table: every S without v within the cap, each parent set built
+        # once for the fill that scores them all and for the lookups below
+        table = {
+            S: frozenset(members(S))
             for S in range(full + 1)
             if not S & bit(v) and S.bit_count() <= cap
-        )
+        }
+        cache.fill((v, pa) for pa in table.values())
         bl, bp = best_local[v], best_pa[v]
-        bl[0] = local_score(v, frozenset(), data, cache=cache)
+        bl[0] = local_score(v, table[0], data, cache=cache)
         for S in range(1, full + 1):
             if S & bit(v):
                 continue
@@ -146,9 +148,9 @@ def dp_exact(
                 sub = S & ~bit(w)
                 if bl[sub] > best:
                     best, arg = bl[sub], bp[sub]
-            if S.bit_count() <= cap:
+            if S in table:
                 try:
-                    own = local_score(v, frozenset(members(S)), data, cache=cache)
+                    own = local_score(v, table[S], data, cache=cache)
                 except UNFITTABLE:
                     own = neg_inf
                 if own > best:

@@ -15,10 +15,14 @@ Summed over vertices this is the maximized log-likelihood minus
 equal values to equivalent DAGs, which is what the greedy search exploits.
 
 Scores are computed in batches: `ScoreCache.fill` fits every missing
-(v, P) key of a batch at once, stacking the designs of one row count and
-parent-set size into one QR. numpy makes the same LAPACK/BLAS call per
-stack member as for a single matrix, so each score is bitwise the score of
-its own fit, whatever batch it was computed in.
+(v, P) key of a batch at once, stacking the designs of one row set and
+parent-set size into one QR. The designs are gathered from a column-major
+copy of the rows. The memory this costs: each dataset keeps one copy of X
+from its first fit on, and a batch holds at most one transient copy of
+the rows of one row set short of all rows, while it fits that set. numpy
+makes the same LAPACK/BLAS call per stack member as for a single matrix,
+so each score is bitwise the score of its own fit, whatever batch it was
+computed in.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,7 +81,8 @@ UNFITTABLE = (InsufficientSamples, SingularDesign)
 
 
 class InterventionalDataset:
-    """An n x p sample matrix plus one intervention target per row."""
+    """An n x p sample matrix plus one intervention target per row. The
+    dataset holds its own copy of the matrix, which cannot be written."""
 
     def __init__(self, X: np.ndarray, targets: Sequence[Iterable[int]]):
         X = np.asarray(X, dtype=np.float64)
@@ -95,13 +101,14 @@ class InterventionalDataset:
         if not np.isfinite(squares).all():
             col = np.flatnonzero(~np.isfinite(squares))[0]
             raise NonFiniteData(f"the sum of squares of column x{col + 1} overflows")
-        self.X = np.ascontiguousarray(X)
+        # an own, read-only copy: the fits read copies of it taken later
+        self.X = np.array(X, order="C")
+        self.X.flags.writeable = False
         self.targets: tuple[Target, ...] = tuple(frozenset(t) for t in targets)
         for t in self.targets:
             for v in t:
                 if not 1 <= v <= self.p:
                     raise ScoringError(f"target vertex {v} outside 1..{self.p}")
-        self._rows_excluding: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -112,15 +119,40 @@ class InterventionalDataset:
         return self.X.shape[1]
 
     def rows_excluding(self, v: int) -> np.ndarray:
-        """Indices of rows whose target does not contain v."""
-        got = self._rows_excluding.get(v)
-        if got is None:
-            got = np.array(
-                [i for i, t in enumerate(self.targets) if v not in t],
-                dtype=np.intp,
-            )
-            self._rows_excluding[v] = got
-        return got
+        """Indices of rows whose target does not contain v. Vertices with
+        the same such rows share one array."""
+        rows, group_of = self._row_groups
+        return rows[group_of[v - 1]]
+
+    @cached_property
+    def _row_groups(self) -> tuple[list[np.ndarray], list[int]]:
+        """The distinct sets of rows excluding a vertex, and the index of
+        vertex v's set at position v - 1. Two vertices have the same rows
+        iff the same distinct row targets contain them, since each distinct
+        target labels at least one row."""
+        index: dict[Target, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(t, len(index)) for t in self.targets), np.intp, self.n
+        )
+        # contains[i, v - 1]: the i-th distinct target contains v
+        contains = np.zeros((len(index), self.p), dtype=bool)
+        for i, t in enumerate(index):
+            contains[i, [v - 1 for v in t]] = True
+        seen: dict[bytes, int] = {}
+        rows: list[np.ndarray] = []
+        group_of = []
+        for col in contains.T:
+            g = seen.setdefault(col.tobytes(), len(seen))
+            if g == len(rows):
+                rows.append(np.flatnonzero(~col[codes]))
+            group_of.append(g)
+        return rows, group_of
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """X transposed into C order: column j of X is row j - 1, contiguous.
+        Taken on the first fit and kept: one more copy of X."""
+        return np.ascontiguousarray(self.X.T)
 
     def check_family(self, fam: TargetFamily) -> None:
         """Every row label must be a family member and every member must
@@ -255,7 +287,7 @@ class ScoreCache:
 
 
 #: Element budget of one stacked fit: the parent sets of one size on one row
-#: count are fitted in chunks of at most this many design entries (members
+#: set are fitted in chunks of at most this many design entries (members
 #: x rows x parents), and of at least one member.
 STACK_BUDGET = 32768
 
@@ -273,48 +305,56 @@ def _fit(
     of a key that cannot be scored: an UNFITTABLE error, or DegenerateFit
     for a variance below VARIANCE_FLOOR.
 
-    Keys of one row count and parent-set size are fitted together, by QR on
-    a stack of designs. numpy's stacked qr, solve and matmul make the same
-    LAPACK/BLAS call per member as on one matrix, so each member's result
-    is bitwise the result of fitting it alone."""
+    Keys of one row set and parent-set size are fitted together, by QR on a
+    stack of designs gathered from the dataset's column-major copy of X
+    (for a row set short of all rows, from a copy of those rows taken once
+    per call and dropped when the set's keys are done). numpy's stacked
+    qr, solve and matmul make the same LAPACK/BLAS call per member as on
+    one matrix, so each member's result is bitwise the result of fitting it
+    alone."""
     out: list[Fit | ScoringError | None] = [None] * len(keys)
-    groups: dict[tuple[int, int], list[int]] = {}
+    rows, group_of = data._row_groups
+    groups: dict[int, dict[int, list[int]]] = {}
     for i, (v, parents) in enumerate(keys):
-        n_v = data.rows_excluding(v).size
+        g = group_of[v - 1]
+        n_v = rows[g].size
         k = len(parents)
         if n_v <= k + 1:
             out[i] = InsufficientSamples(
                 f"vertex {v}: {n_v} usable rows cannot identify {k} coefficients"
             )
         else:
-            groups.setdefault((n_v, k), []).append(i)
-    for (n_v, k), members in groups.items():
-        step = max(1, STACK_BUDGET // (n_v * max(k, 1)))
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            fits = _fit_stack(data, [keys[i] for i in chunk], n_v)
-            for i, fit in zip(chunk, fits):
-                out[i] = fit
+            groups.setdefault(g, {}).setdefault(k, []).append(i)
+    for g, sizes in groups.items():
+        n_v = rows[g].size
+        XT = data._columns if n_v == data.n else data._columns.take(rows[g], axis=1)
+        for k, members in sizes.items():
+            step = max(1, STACK_BUDGET // (n_v * max(k, 1)))
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                fits = _fit_stack(XT, [keys[i] for i in chunk])
+                for i, fit in zip(chunk, fits):
+                    out[i] = fit
+        del XT  # before the next set's copy is taken
     return out
 
 
 def _fit_stack(
-    data: InterventionalDataset, keys: list[tuple[int, tuple[int, ...]]], n_v: int
+    XT: np.ndarray, keys: list[tuple[int, tuple[int, ...]]]
 ) -> list[Fit | ScoringError]:
-    """_fit of keys that share the row count n_v and the parent-set size."""
-    # gathered from X by one flat offset per entry, which is faster than
-    # indexing X by rows and columns at once
-    p = data.p
-    flat = data.X.ravel()
-    rows = np.stack([data.rows_excluding(v) for v, _ in keys]) * p
-    Y = flat.take(rows + np.array([v - 1 for v, _ in keys])[:, None])
+    """_fit of keys that share their rows and the parent-set size; row
+    j - 1 of XT holds column j of X over those rows, in C order."""
+    n_v = XT.shape[1]
+    # rows of XT are contiguous, so these gathers copy whole rows; the
+    # designs must be C-ordered, because a matmul on F-ordered members
+    # rounds differently
+    Y = XT[[v - 1 for v, _ in keys]]
     if len(keys[0][1]) == 0:
         full_rank = [True] * len(keys)
         fitted = ((np.empty(0), float(y @ y)) for y in Y)
     else:
         cols = np.array([parents for _, parents in keys]) - 1
-        A = flat.take(rows[:, None, :] + cols[:, :, None])
-        A = np.ascontiguousarray(A.transpose(0, 2, 1))
+        A = np.ascontiguousarray(XT[cols].transpose(0, 2, 1))
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         dmax = diag.max(axis=1)

@@ -3,7 +3,9 @@ score cache's fill."""
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,12 +104,12 @@ DATA = _dataset()
 P = DATA.p
 
 
-def _assert_same(keys):
-    got = _fit(DATA, keys)
+def _assert_same(keys, data=DATA):
+    got = _fit(data, keys)
     assert len(got) == len(keys)
     for (v, parents), fit in zip(keys, got):
         try:
-            coef, sigma2, n_v = _per_key_fit(DATA, v, parents)
+            coef, sigma2, n_v = _per_key_fit(data, v, parents)
         except ScoringError as exc:
             assert type(fit) is type(exc), (v, parents, fit)
             assert str(fit) == str(exc)
@@ -157,7 +159,7 @@ def test_the_data_has_every_outcome():
 @pytest.mark.parametrize("m", [1, 2, 7])
 @pytest.mark.parametrize("k", range(7))
 def test_a_stack_equals_the_per_key_fits(m, k):
-    # one stack: vertices 4..12 share the row count 300
+    # one stack: vertices 4..12 share all 300 rows
     rng = np.random.default_rng(100 * m + k)
     _assert_same(_keys(rng, m, k, vertices=range(4, P + 1)))
 
@@ -183,6 +185,122 @@ def test_mixed_keys_equal_the_per_key_fits(seed):
 
 def test_a_stack_of_rank_deficient_members_only():
     _assert_same([(12, (6, 7)), (11, (6, 7)), (10, (7, 6))])
+
+
+@st.composite
+def _targeted_batches(draw):
+    """A dataset and a shuffled batch of keys on it. Its row targets include
+    a target of three vertices, two singleton targets labelling equally
+    many rows and a vertex that no target contains, plus up to three
+    random targets; one column is twice another and one is of scale 1e-7."""
+    p = draw(st.integers(7, 9))
+    order = draw(st.permutations(range(1, p + 1)))
+    several = frozenset(order[:3])
+    x, y = order[3], order[4]
+    # few unlabelled rows and small x, y targets leave the three vertices
+    # of `several` with too few rows for some keys
+    c = draw(st.integers(1, 2) | st.integers(1, 12))
+    labels = (
+        [frozenset()] * draw(st.integers(0, 3) | st.integers(0, 30))
+        + [several] * draw(st.integers(1, 30))
+        + [frozenset({x})] * c
+        + [frozenset({y})] * c
+    )
+    # neither x nor y nor the last vertex is in a random target
+    others = st.sampled_from(order[:3] + order[5:-1])
+    for t in draw(st.lists(st.frozensets(others, min_size=1, max_size=3), max_size=3)):
+        labels += [t] * draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng.shuffle(labels)
+    X = rng.standard_normal((len(labels), p))
+    X[:, order[5] - 1] = 2.0 * X[:, order[6] - 1]
+    X[:, order[1] - 1] *= 1e-7
+    drawn = draw(st.lists(
+        st.tuples(st.integers(1, p), st.frozensets(st.integers(1, p), max_size=5)),
+        min_size=1, max_size=40,
+    ))
+    keys = [(v, tuple(sorted(pa - {v}))) for v, pa in drawn]
+    rng.shuffle(keys)
+    return InterventionalDataset(X, labels), keys, (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_targeted_batches())
+def test_fits_over_any_targets_equal_the_per_key_fits(batch):
+    data, keys, (x, y) = batch
+    # fit first, so that the row sets are found by the fit
+    _assert_same(keys, data)
+    for v in range(1, data.p + 1):
+        want = [i for i, t in enumerate(data.targets) if v not in t]
+        assert data.rows_excluding(v).tolist() == want
+        for w in range(1, v):
+            same = data.rows_excluding(v).tolist() == data.rows_excluding(w).tolist()
+            assert (data.rows_excluding(v) is data.rows_excluding(w)) == same, (v, w)
+    assert data.rows_excluding(x).size == data.rows_excluding(y).size
+    assert data.rows_excluding(x) is not data.rows_excluding(y)
+
+
+def _arrays_held(obj) -> list[np.ndarray]:
+    """Every array reachable from obj's attributes through containers."""
+    seen, stack, found = set(), [vars(obj)], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+    return found
+
+
+def test_a_fit_keeps_one_column_major_copy_of_x():
+    # 8 singleton targets give 9 row sets; a fit over keys of every vertex
+    # takes a transient copy of the rows of each of the 8 short ones
+    rng = np.random.default_rng(5)
+    n, p = 400, 20
+    targets = [{1 + i % 8} if i < 160 else set() for i in range(n)]
+    data = InterventionalDataset(rng.standard_normal((n, p)), targets)
+    keys = [(v, ()) for v in range(1, p + 1)]
+    keys += [(v, (v % p + 1, (v + 1) % p + 1)) for v in range(1, p + 1)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _assert_same(keys, data)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    copies = [
+        a for a in _arrays_held(data)
+        if a.dtype == np.float64 and not np.shares_memory(a, data.X)
+    ]
+    assert len(copies) == 1
+    assert copies[0].flags.c_contiguous
+    assert np.array_equal(copies[0], data.X.T)
+    rows = {id(r): r for r in map(data.rows_excluding, range(1, p + 1))}
+    assert len(rows) == 9
+    # one copy of X and the row sets, plus a little bookkeeping; a kept
+    # copy of a short row set would add 19/20 of X
+    want = data.X.nbytes + sum(r.nbytes for r in rows.values())
+    assert want <= held < want + data.X.nbytes // 4
+
+
+def test_the_dataset_keeps_its_own_read_only_matrix():
+    # fits read a copy of the matrix kept from the first fit on, so the
+    # matrix must not change under them
+    X = DATA.X.copy()
+    data = InterventionalDataset(X, DATA.targets)
+    before = _fit(data, [(10, (1,))])[0]
+    X[:] = 0.0
+    assert np.array_equal(data.X, DATA.X)
+    assert _fit(data, [(10, (1,))])[0][1] == before[1]
+    with pytest.raises(ValueError, match="read-only"):
+        data.X[0, 0] = 1.0
 
 
 def test_an_empty_batch():
