@@ -126,7 +126,10 @@ def dp_exact(
         return [v for v in range(1, p + 1) if mask & bit(v)]
 
     # best_local[v][S]: best local score of v over parent sets inside S;
-    # best_pa[v][S]: the parent set achieving it (smaller sets win ties)
+    # best_pa[v][S]: the parent set achieving it. Ties on the score go to
+    # the set with fewer members, then to the smaller bitmask: a total
+    # order, so the best set within S is the best of S itself and the best
+    # sets within each S minus one member
     best_local = [None] + [[neg_inf] * (full + 1) for _ in range(p)]
     best_pa = [None] + [[0] * (full + 1) for _ in range(p)]
     for v in range(1, p + 1):
@@ -146,13 +149,18 @@ def dp_exact(
             best, arg = neg_inf, 0
             for w in members(S):
                 sub = S & ~bit(w)
-                if bl[sub] > best:
-                    best, arg = bl[sub], bp[sub]
+                got, pa = bl[sub], bp[sub]
+                if got > best or got == best and (
+                    (pa.bit_count(), pa) < (arg.bit_count(), arg)
+                ):
+                    best, arg = got, pa
             if S in table:
                 try:
                     own = local_score(v, table[S], data, cache=cache)
                 except UNFITTABLE:
                     own = neg_inf
+                # S has more members than every set inside it, so it only
+                # wins on a higher score
                 if own > best:
                     best, arg = own, S
             bl[S], bp[S] = best, arg

@@ -16,10 +16,10 @@ equal values to equivalent DAGs, which is what the greedy search exploits.
 
 Scores are computed in batches: `ScoreCache.fill` fits every missing
 (v, P) key of a batch at once, stacking the designs of one row set and
-parent-set size into one QR. The designs are gathered from a column-major
-copy of the rows. The memory this costs: each dataset keeps one copy of X
-from its first fit on, and a batch holds at most one transient copy of
-the rows of one row set short of all rows, while it fits that set. numpy
+parent-set size into one QR. A dataset stores its samples once, from
+construction, as the column-major matrix the fits read (`X` is a read-only
+view of it), and a batch holds at most one transient copy of the rows of
+one row set short of all rows, while it fits that set. numpy
 makes the same LAPACK/BLAS call per stack member as for a single matrix,
 so each score is bitwise the score of its own fit, whatever batch it was
 computed in.
@@ -82,7 +82,9 @@ UNFITTABLE = (InsufficientSamples, SingularDesign)
 
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row. The
-    dataset holds its own copy of the matrix, which cannot be written."""
+    dataset holds the one copy of the samples it reads: a read-only p x n
+    C-ordered matrix whose row j - 1 is column j of X, taken at
+    construction. `X` is a view of it, not a copy."""
 
     def __init__(self, X: np.ndarray, targets: Sequence[Iterable[int]]):
         X = np.asarray(X, dtype=np.float64)
@@ -101,9 +103,9 @@ class InterventionalDataset:
         if not np.isfinite(squares).all():
             col = np.flatnonzero(~np.isfinite(squares))[0]
             raise NonFiniteData(f"the sum of squares of column x{col + 1} overflows")
-        # an own, read-only copy: the fits read copies of it taken later
-        self.X = np.array(X, order="C")
-        self.X.flags.writeable = False
+        # an own, read-only copy, so no caller can write under the fits
+        self._columns = np.array(X.T, order="C")
+        self._columns.flags.writeable = False
         self.targets: tuple[Target, ...] = tuple(frozenset(t) for t in targets)
         for t in self.targets:
             for v in t:
@@ -111,12 +113,17 @@ class InterventionalDataset:
                     raise ScoringError(f"target vertex {v} outside 1..{self.p}")
 
     @property
+    def X(self) -> np.ndarray:
+        """The n x p sample matrix: a read-only view of the column-major copy."""
+        return self._columns.T
+
+    @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self._columns.shape[1]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self._columns.shape[0]
 
     def rows_excluding(self, v: int) -> np.ndarray:
         """Indices of rows whose target does not contain v. Vertices with
@@ -148,12 +155,6 @@ class InterventionalDataset:
             group_of.append(g)
         return rows, group_of
 
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        """X transposed into C order: column j of X is row j - 1, contiguous.
-        Taken on the first fit and kept: one more copy of X."""
-        return np.ascontiguousarray(self.X.T)
-
     def check_family(self, fam: TargetFamily) -> None:
         """Every row label must be a family member and every member must
         label at least one row."""
@@ -175,7 +176,7 @@ class InterventionalDataset:
         mechanism (a zero column fits exactly with no parents), and columns
         equal to an earlier one, which fit each other exactly: both would
         stop a learner at its first exact fit with DegenerateFit."""
-        cols = self.X.T + 0.0  # adding 0.0 turns -0.0 into 0.0
+        cols = self._columns + 0.0  # adding 0.0 turns -0.0 into 0.0
         constant = [f"x{j}" for j, c in enumerate(cols, 1) if (c == c[:1]).all()]
         if constant:
             raise DegenerateColumns(f"constant columns: {', '.join(constant)}")
@@ -268,13 +269,25 @@ class ScoreCache:
         self.misses = 0
 
     def fill(self, keys: Iterable[tuple[int, frozenset[int]]]) -> None:
-        """Score every key missing from the memo, in one stacked fit."""
+        """Score every key missing from the memo, in one stacked fit. A
+        missing key whose vertex or a parent lies outside 1..p, or whose
+        vertex is among its parents, raises ScoringError before any fit and
+        is not memoized."""
         memo = self.memo
         missing = list(dict.fromkeys(key for key in keys if key not in memo))
         if not missing:
             return
+        p = self.data.p
+        sorted_keys = []
+        for v, pa in missing:
+            parents = tuple(sorted(pa))
+            if not 1 <= v <= p or v in pa or parents and not (
+                1 <= parents[0] and parents[-1] <= p
+            ):
+                raise ScoringError(_bad_key(v, parents, p))
+            sorted_keys.append((v, parents))
         self.misses += len(missing)
-        fits = _fit(self.data, [(v, tuple(sorted(pa))) for v, pa in missing])
+        fits = _fit(self.data, sorted_keys)
         n = self.data.n
         for (v, pa), fit in zip(missing, fits):
             if isinstance(fit, ScoringError):
@@ -284,6 +297,17 @@ class ScoreCache:
             n_pen = n if self.penalty == "total" else n_v
             score = -0.5 * n_v * (np.log(sigma2) + 1.0) - 0.5 * (1 + len(pa)) * np.log(n_pen)
             memo[v, pa] = float(score)
+
+
+def _bad_key(v: int, parents: tuple[int, ...], p: int) -> str:
+    """Why a (vertex, sorted parents) key names no local score on p vertices."""
+    if not 1 <= v <= p:
+        why = f"vertex {v} outside 1..{p}"
+    elif v in parents:
+        why = f"vertex {v} is its own parent"
+    else:
+        why = f"parent {min(u for u in parents if not 1 <= u <= p)} outside 1..{p}"
+    return f"key (vertex {v}, parents {list(parents)}): {why}"
 
 
 #: Element budget of one stacked fit: the parent sets of one size on one row
@@ -306,8 +330,8 @@ def _fit(
     for a variance below VARIANCE_FLOOR.
 
     Keys of one row set and parent-set size are fitted together, by QR on a
-    stack of designs gathered from the dataset's column-major copy of X
-    (for a row set short of all rows, from a copy of those rows taken once
+    stack of designs gathered from the dataset's column-major matrix (for
+    a row set short of all rows, from a copy of those rows taken once
     per call and dropped when the set's keys are done). numpy's stacked
     qr, solve and matmul make the same LAPACK/BLAS call per member as on
     one matrix, so each member's result is bitwise the result of fitting it

@@ -462,11 +462,13 @@ class _Ranking:
     the pa/nb/ch sets of each vertex at the last call, and the candidates
     with a positive delta per v built from them. A fresh ranking has no
     sets, so its first call finds every vertex changed and builds every
-    candidate."""
+    candidate. A ranking is bound to the kinds, cache and max_degree of its
+    first call: its candidates hold nothing else."""
 
     def __init__(self, p: int):
         self.sets: list[tuple | None] = [None] * (p + 1)
         self.positive: list[list[MoveCandidate]] = [[] for _ in range(p + 1)]
+        self.bound: tuple | None = None
 
     def refresh(
         self,
@@ -485,6 +487,14 @@ class _Ranking:
         nb(v) meets D; every other v keeps its candidates with u outside D
         and re-scores its pairs with u in D.
         """
+        # a cache compares by identity
+        bound = (kinds, cache, max_degree)
+        if self.bound is None:
+            self.bound = bound
+        elif self.bound != bound:
+            raise GraphError(
+                "a ranking state is reused with another phase, cache or max_degree"
+            )
         changed = set()
         for x in g.vertices:
             sets = (g._pa[x], g._nb[x], g._ch[x])
@@ -523,10 +533,12 @@ def best_move(
     sorted walk, best first. `state` carries the phase's positive
     candidates from one call to the next: a call rebuilds only those of the
     vertices that changed or have a changed neighbour, and re-scores the
-    pairs whose u changed (_Ranking.refresh). Pass a state again only with
-    the same phase, data, penalty mode and max_degree. A fresh state, or
-    none, marks every vertex changed, so every candidate is built. Without
-    a cache, the call scores through one fresh cache.
+    pairs whose u changed (_Ranking.refresh). A state is bound to the
+    phase, cache and max_degree of its first call, and a later call with
+    any other raises GraphError; a cache fixes the data and penalty mode.
+    A fresh state, or none, marks every vertex changed, so every candidate
+    is built. Without a cache, the call scores through one fresh cache, so
+    a state passed without a cache serves that one call only.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:

@@ -17,6 +17,7 @@ from gieskit import (
     GiesOptions,
     Graph,
     GraphError,
+    InsufficientSamples,
     InterventionalDataset,
     MoveCandidate,
     MoveKind,
@@ -188,6 +189,35 @@ def test_dp_exact_is_deterministic():
     a = dp_exact(SIM4.data, SIM4.fam)
     b = dp_exact(SIM4.data, SIM4.fam)
     assert a.dag == b.dag and a.score == b.score
+
+
+def _dp_on_scores(monkeypatch, scores):
+    """dp_exact on p = 4 through a cache that serves fake local scores:
+    s(v, P) from `scores` (None: an unfittable set), else 0 for the empty
+    set and -1 for every other."""
+    class FakeScores(gieskit.ScoreCache):
+        def fill(self, keys):
+            for v, pa in keys:
+                got = scores.get((v, pa), 0.0 if not pa else -1.0)
+                self.memo[v, pa] = InsufficientSamples("unfittable") if got is None else got
+
+    monkeypatch.setattr(gieskit.baselines, "ScoreCache", FakeScores)
+    data = InterventionalDataset(np.random.default_rng(0).normal(size=(20, 4)), [()] * 20)
+    return dp_exact(data, TargetFamily([()]))
+
+
+@pytest.mark.parametrize("scores, want", [
+    # equal scores: the set with fewer members wins
+    ({(1, frozenset({2})): 5.0, (1, frozenset({3, 4})): 5.0}, {(2, 1)}),
+    # equal scores and sizes: the smaller bitmask wins; an unfittable set
+    # never does
+    ({(1, frozenset({2})): None, (1, frozenset({3, 4})): 5.0,
+      (1, frozenset({2, 3})): 5.0}, {(2, 1), (3, 1)}),
+])
+def test_dp_exact_breaks_score_ties_by_size_then_bitmask(monkeypatch, scores, want):
+    res = _dp_on_scores(monkeypatch, scores)
+    assert set(res.dag.arrows) == want
+    assert res.score == 5.0
 
 
 # -- data no learner can score ---------------------------------------------------

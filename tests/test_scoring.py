@@ -229,6 +229,32 @@ def test_cached_and_uncached_scores_are_equal(parents, v, penalty):
     assert (cache.misses, cache.hits) == (1, 1)
 
 
+@pytest.mark.parametrize("v, parents, wrong", [
+    (0, [], "vertex 0 outside 1..3"),
+    (1, [0], "parent 0 outside 1..3"),
+    (4, [], "vertex 4 outside 1..3"),
+    (1, [4], "parent 4 outside 1..3"),
+    (2, [2], "vertex 2 is its own parent"),
+])
+def test_a_key_outside_the_dataset_is_rejected_before_any_fit(v, parents, wrong):
+    # vertex 0 and parent 0 would read column 3, vertex 4 and parent 4 run
+    # past the matrix, and a vertex among its parents fits itself exactly
+    X = np.random.default_rng(1).normal(size=(50, 3))
+    data = InterventionalDataset(X, [()] * 50)
+    cache = ScoreCache(data)
+    cache.fill([(3, frozenset())])
+    for _ in range(2):
+        with pytest.raises(ScoringError) as exc:
+            local_score(v, parents, data, cache=cache)
+        assert type(exc.value) is ScoringError
+        assert str(exc.value) == f"key (vertex {v}, parents {parents}): {wrong}"
+    with pytest.raises(ScoringError):
+        cache.fill([(3, frozenset({1})), (v, frozenset(parents))])
+    # nothing fitted, memoized or counted for the rejected calls
+    assert list(cache.memo) == [(3, frozenset())]
+    assert (cache.misses, cache.hits) == (1, 0)
+
+
 def test_score_cache_fixes_the_penalty(data5):
     # a cache bound to per-node overrides the call-site default
     cache = ScoreCache(data5, penalty="per-node")

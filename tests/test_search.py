@@ -53,7 +53,7 @@ from gieskit import (
     total_score,
     valid_move,
 )
-from gieskit.search import _ADMITS, _PHASE_KINDS, _candidates, _clique_of_lines
+from gieskit.search import _ADMITS, _PHASE_KINDS, _Ranking, _candidates, _clique_of_lines
 
 dag4_arrows = st.sampled_from(oracles.all_dag_arrow_sets(4))
 families4 = st.lists(
@@ -504,6 +504,27 @@ def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learne
         else:
             res = gies(sim.data, sim.fam, opts)
     assert res.steps == sum(m is not None for m in calls)
+
+
+def test_a_ranking_state_is_bound_to_its_first_call():
+    # the state's candidates were built for one phase, cache and max_degree;
+    # reused with another, they would rank moves the call does not make
+    sim = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
+    g, cache = Graph(6), ScoreCache(sim.data)
+    state = _Ranking(6)
+    assert best_move(g, "forward", sim.data, cache=cache, state=state) is not None
+    with pytest.raises(GraphError, match="phase, cache or max_degree"):
+        best_move(g, "backward", sim.data, cache=cache, state=state)
+    assert best_move(g, "backward", sim.data, cache=cache) is None
+
+    state = _Ranking(6)
+    assert best_move(g, "forward", sim.data, cache, max_degree=0, state=state) is None
+    with pytest.raises(GraphError, match="phase, cache or max_degree"):
+        best_move(g, "forward", sim.data, cache, max_degree=None, state=state)
+    with pytest.raises(GraphError, match="phase, cache or max_degree"):
+        best_move(g, "forward", sim.data, ScoreCache(sim.data), max_degree=0, state=state)
+    assert best_move(g, "forward", sim.data, cache, max_degree=None) is not None
+    assert best_move(g, "forward", sim.data, cache, max_degree=0, state=state) is None
 
 
 # -- the full search -------------------------------------------------------------

@@ -258,8 +258,10 @@ def _arrays_held(obj) -> list[np.ndarray]:
 
 
 def test_a_fit_keeps_one_column_major_copy_of_x():
-    # 8 singleton targets give 9 row sets; a fit over keys of every vertex
-    # takes a transient copy of the rows of each of the 8 short ones
+    # the dataset's one copy of X is the column-major matrix taken at
+    # construction. 8 singleton targets give 9 row sets; a fit over keys of
+    # every vertex takes a transient copy of the rows of each of the 8
+    # short ones, and keeps none of them
     rng = np.random.default_rng(5)
     n, p = 400, 20
     targets = [{1 + i % 8} if i < 160 else set() for i in range(n)]
@@ -275,24 +277,23 @@ def test_a_fit_keeps_one_column_major_copy_of_x():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    copies = [
-        a for a in _arrays_held(data)
-        if a.dtype == np.float64 and not np.shares_memory(a, data.X)
-    ]
-    assert len(copies) == 1
-    assert copies[0].flags.c_contiguous
-    assert np.array_equal(copies[0], data.X.T)
+    matrices = [a for a in _arrays_held(data) if a.dtype == np.float64]
+    assert len(matrices) == 1
+    assert np.shares_memory(matrices[0], data.X)
+    assert matrices[0].flags.c_contiguous
+    assert np.array_equal(matrices[0], data.X.T)
     rows = {id(r): r for r in map(data.rows_excluding, range(1, p + 1))}
     assert len(rows) == 9
-    # one copy of X and the row sets, plus a little bookkeeping; a kept
-    # copy of a short row set would add 19/20 of X
-    want = data.X.nbytes + sum(r.nbytes for r in rows.values())
+    # the row sets, plus a little bookkeeping; a kept copy of X, or of a
+    # short row set (19/20 of X), would add more than a quarter of X
+    want = sum(r.nbytes for r in rows.values())
     assert want <= held < want + data.X.nbytes // 4
 
 
 def test_the_dataset_keeps_its_own_read_only_matrix():
-    # fits read a copy of the matrix kept from the first fit on, so the
-    # matrix must not change under them
+    # the dataset's one copy of the samples, taken at construction, is the
+    # column-major matrix the fits read, and X is a view of it: neither the
+    # caller's array nor a write through X may change it under them
     X = DATA.X.copy()
     data = InterventionalDataset(X, DATA.targets)
     before = _fit(data, [(10, (1,))])[0]
