@@ -12,13 +12,19 @@ equivalence class is a singleton and the two searches coincide move for
 move. ges erases all intervention
 labels and searches with the purely observational family. dp_exact
 maximizes the decomposable score over all DAGs by dynamic programming over
-vertex subsets (best-parent-set tables followed by a best-sink recursion),
-exponential in the vertex count.
+vertex subsets, exponential in the vertex count: array passes over the
+2^p subset bitmasks build every vertex's best-parent-set table, one pass
+per vertex, and a best-sink recursion then runs over the subsets layer by
+layer of size. One total order breaks every tie (higher score, then the
+parent set with fewer members, then the smaller bitmask; the smallest
+sink), so the result does not depend on the order of the comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # has_path is no longer called here but stays importable from this module:
 # perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
@@ -96,12 +102,17 @@ def dp_exact(
 ) -> DpResult:
     """Globally optimal DAG for the decomposable score.
 
-    Runs the subset dynamic program: per vertex, the best parent set within
-    every candidate set; then the best sink per vertex subset. Time and
-    memory grow as p * 2^p, hence the hard max_p guard. max_parents caps
-    the parent-set size of the local-score table (defaults to unlimited up
-    to 12 vertices and 5 beyond); a cap can exclude the true optimum, so
-    the applied value is reported in the metadata.
+    Runs the subset dynamic program as array passes over the 2^p vertex
+    subsets: for all vertices at once, the best parent set within every
+    candidate set (p passes, pass w comparing each set that contains w with
+    that set minus w); then the best sink of every vertex subset, one pass
+    per subset size. Ties go to the parent set with fewer members, then to
+    the smaller bitmask, and to the smallest sink. Time grows as p * 2^p
+    and memory holds two (p + 1) x 2^p arrays (scores and parent-set
+    ranks), hence the hard max_p guard. max_parents caps the parent-set
+    size of the local-score table (defaults to unlimited up to 12 vertices
+    and 5 beyond); a cap can exclude the true optimum, so the applied value
+    is reported in the metadata.
     """
     p = data.p
     if p > max_p:
@@ -112,86 +123,79 @@ def dp_exact(
     data.check_family(fam)
     data.check_columns()
     cache = ScoreCache(data)
-    if max_parents is None:
-        cap = p - 1 if p <= 12 else 5
-    else:
-        cap = max_parents
+    cap = (p - 1 if p <= 12 else 5) if max_parents is None else max_parents
     full = (1 << p) - 1
-    neg_inf = float("-inf")
+    # sets[S]: the parent set of the bitmask S (bit w - 1 for vertex w), for
+    # every S of at most cap members, in ascending order of S: each pass
+    # adds a vertex above every bit set before it
+    sets = {0: frozenset()}
+    for w in range(1, p + 1):
+        sets.update(
+            {S | 1 << w - 1: pa | {w} for S, pa in list(sets.items()) if len(pa) < cap}
+        )
+    size = np.zeros(full + 1, dtype=np.int64)  # size[S]: the members of S
+    for w in range(p):
+        size[1 << w : 2 << w] = size[: 1 << w] + 1
 
-    def bit(v: int) -> int:
-        return 1 << (v - 1)
+    def own(v: int, pa: frozenset[int]) -> float:
+        try:
+            return local_score(v, pa, data, cache=cache)
+        except UNFITTABLE:
+            if not pa:  # no DAG can score v
+                raise
+            return -np.inf
 
-    def members(mask: int) -> list[int]:
-        return [v for v in range(1, p + 1) if mask & bit(v)]
-
-    # best_local[v][S]: best local score of v over parent sets inside S;
-    # best_pa[v][S]: the parent set achieving it. Ties on the score go to
-    # the set with fewer members, then to the smaller bitmask: a total
-    # order, so the best set within S is the best of S itself and the best
-    # sets within each S minus one member
-    best_local = [None] + [[neg_inf] * (full + 1) for _ in range(p)]
-    best_pa = [None] + [[0] * (full + 1) for _ in range(p)]
+    # best[v, S]: the best local score of v over the parent sets inside S,
+    # and rank[v, S] = |P| << p | P for the bitmask P of that set. One total
+    # order ranks the sets: higher score, then lower rank (fewer members,
+    # then the smaller bitmask). Seeded with each set's own score, the best
+    # within every S is reached by one pass per vertex w, comparing each S
+    # that contains w (b1, r1) with S minus w (b0, r0)
+    best = np.full((p + 1, full + 1), -np.inf)
+    rank = np.tile(size << p | np.arange(full + 1), (p + 1, 1))
     for v in range(1, p + 1):
-        # v's table: every S without v within the cap, each parent set built
-        # once for the fill that scores them all and for the lookups below
-        table = {
-            S: frozenset(members(S))
-            for S in range(full + 1)
-            if not S & bit(v) and S.bit_count() <= cap
-        }
-        cache.fill((v, pa) for pa in table.values())
-        bl, bp = best_local[v], best_pa[v]
-        bl[0] = local_score(v, table[0], data, cache=cache)
-        for S in range(1, full + 1):
-            if S & bit(v):
-                continue
-            best, arg = neg_inf, 0
-            for w in members(S):
-                sub = S & ~bit(w)
-                got, pa = bl[sub], bp[sub]
-                if got > best or got == best and (
-                    (pa.bit_count(), pa) < (arg.bit_count(), arg)
-                ):
-                    best, arg = got, pa
-            if S in table:
-                try:
-                    own = local_score(v, table[S], data, cache=cache)
-                except UNFITTABLE:
-                    own = neg_inf
-                # S has more members than every set inside it, so it only
-                # wins on a higher score
-                if own > best:
-                    best, arg = own, S
-            bl[S], bp[S] = best, arg
+        table = [S for S in sets if not S & 1 << v - 1]
+        cache.fill((v, sets[S]) for S in table)
+        best[v, table] = [own(v, sets[S]) for S in table]
+    for w in range(p):
+        (b0, b1), (r0, r1) = (
+            np.moveaxis(a.reshape(p + 1, -1, 2, 1 << w), 2, 0) for a in (best, rank)
+        )
+        take = (b0 > b1) | (b0 == b1) & (r0 < r1)
+        np.copyto(b1, b0, where=take)
+        np.copyto(r1, r0, where=take)
 
-    # best_net[U]: best score of a DAG on the vertex set U; sink[U]: its
-    # last vertex in topological order (smallest such vertex on ties)
-    best_net = [0.0] * (full + 1)
-    sink = [0] * (full + 1)
-    for U in range(1, full + 1):
-        best, arg = neg_inf, 0
-        for s in members(U):
-            rest = U & ~bit(s)
-            cand = best_net[rest] + best_local[s][rest]
-            if cand > best:
-                best, arg = cand, s
-        best_net[U], sink[U] = best, arg
+    # net[U]: best score of a DAG on the vertex set U; sink[U]: its last
+    # vertex in topological order. The sets of k vertices read only those
+    # of k - 1, and a strict > over ascending s keeps the smallest sink on
+    # ties
+    net = np.zeros(full + 1)
+    sink = np.zeros(full + 1, dtype=np.int64)
+    for k in range(1, p + 1):
+        U = np.flatnonzero(size == k)
+        top = np.full(U.size, -np.inf)
+        for s in range(1, p + 1):
+            rest = U & ~(1 << s - 1)
+            cand = np.where(rest < U, net[rest] + best[s, rest], -np.inf)
+            win = cand > top
+            top[win], sink[U[win]] = cand[win], s
+        net[U] = top
 
     arrows: list[tuple[int, int]] = []
     U = full
     while U:
-        s = sink[U]
-        U &= ~bit(s)
-        arrows.extend((w, s) for w in members(best_pa[s][U]))
+        s = int(sink[U])
+        U ^= 1 << s - 1
+        arrows.extend((w, s) for w in sets[int(rank[s, U]) & full])
     dag = Dag(p, arrows=arrows)
+    score = float(net[full])
     return DpResult(
         dag=dag,
-        score=best_net[full],
+        score=score,
         metadata={
             "max_p": max_p,
             "max_parents": cap,
             "capped": cap < p - 1,
-            "score": best_net[full],
+            "score": score,
         },
     )

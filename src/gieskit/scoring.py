@@ -190,8 +190,13 @@ class InterventionalDataset:
             raise DegenerateColumns(f"duplicated columns: {', '.join(repeats)}")
 
     def erase_targets(self) -> "InterventionalDataset":
-        """The same samples relabelled as purely observational."""
-        return InterventionalDataset(self.X, [()] * self.n)
+        """The same samples relabelled as purely observational: a dataset
+        that shares this one's read-only sample matrix, labels every row
+        with the one empty target and finds its own row sets."""
+        erased = InterventionalDataset.__new__(InterventionalDataset)
+        erased._columns = self._columns
+        erased.targets = (frozenset(),) * self.n
+        return erased
 
     # -- CSV: header x1..xp,target; target "" or semicolon-joined ids --
 
@@ -445,6 +450,12 @@ def local_score(
     return got
 
 
+def _check_vertex_count(g: Graph, data: InterventionalDataset) -> None:
+    """A graph scored on data must have one vertex per column."""
+    if g.p != data.p:
+        raise ScoringError(f"graph has {g.p} vertices, data has {data.p}")
+
+
 def total_score(
     d: Graph,
     data: InterventionalDataset,
@@ -453,8 +464,7 @@ def total_score(
 ) -> float:
     """Sum of local scores over all vertices of a fully directed acyclic
     graph: the BIC of the DAG."""
-    if d.p != data.p:
-        raise ScoringError(f"graph has {d.p} vertices, data has {data.p}")
+    _check_vertex_count(d, data)
     if d.num_lines:
         raise ScoringError("total_score requires a fully directed graph")
     return sum(

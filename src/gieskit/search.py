@@ -69,6 +69,7 @@ from .scoring import (
     UNFITTABLE,
     InterventionalDataset,
     ScoreCache,
+    _check_vertex_count,
     local_score,
     total_score,
 )
@@ -198,8 +199,11 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
     line-neighbours of v that the kind's rule (_ADMITS) admits. Insert also
     needs every partially directed path from v to u to pass through C, and
     turn-arrow every such path other than the arrow itself to pass through
-    C or nb(u).
+    C or nb(u). A u or v outside 1..p raises GraphError.
     """
+    for x in (u, v):
+        if not 1 <= x <= g.p:
+            raise GraphError(f"vertex {x} outside 1..{g.p}")
     if kind is MoveKind.INSERT:
         if u == v:
             raise GraphError("u and v must differ")
@@ -279,7 +283,9 @@ def move_delta(
     """Score change of the move (u, v, C) of the kind: with B = pa(v) | C,
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
-    and P = pa(u) for a turn-arrow."""
+    and P = pa(u) for a turn-arrow. A graph on other than data.p vertices
+    raises ScoringError."""
+    _check_vertex_count(g, data)
     if cache is None:
         cache = ScoreCache(data)
     return _delta(kind, _move_keys(kind, g, u, v, frozenset(C)), data, cache)
@@ -478,7 +484,8 @@ class _Ranking:
         cache: ScoreCache,
         max_degree: int | None,
     ) -> None:
-        """Bring the candidates up to date with g.
+        """Bring the candidates up to date with g, a graph on the state's
+        p vertices (GraphError otherwise).
 
         The candidates of a pair (u, v) depend on the sets of u and v, on
         the lines among nb(v) (the cliques C and how they separate), and
@@ -487,6 +494,11 @@ class _Ranking:
         nb(v) meets D; every other v keeps its candidates with u outside D
         and re-scores its pairs with u in D.
         """
+        if g.p != len(self.sets) - 1:
+            raise GraphError(
+                f"a ranking state for {len(self.sets) - 1} vertices is used on "
+                f"a graph of {g.p}"
+            )
         # a cache compares by identity
         bound = (kinds, cache, max_degree)
         if self.bound is None:
@@ -538,11 +550,13 @@ def best_move(
     any other raises GraphError; a cache fixes the data and penalty mode.
     A fresh state, or none, marks every vertex changed, so every candidate
     is built. Without a cache, the call scores through one fresh cache, so
-    a state passed without a cache serves that one call only.
+    a state passed without a cache serves that one call only. A graph on
+    other than data.p vertices raises ScoringError.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
+    _check_vertex_count(g, data)
     if cache is None:
         cache = ScoreCache(data)
     if state is None:

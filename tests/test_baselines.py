@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from gieskit import (
     NonConservativeFamily,
     ScoringError,
     SimConfig,
+    SingularDesign,
     TargetFamily,
     TooLarge,
     dp_exact,
@@ -32,6 +36,7 @@ from gieskit import (
     ges,
     gies,
     is_acyclic,
+    local_score,
     markov_equivalent,
     random_dag,
     random_model,
@@ -40,6 +45,7 @@ from gieskit import (
     substream,
     total_score,
 )
+from gieskit.interventions import _require_conservative
 from gieskit.search import _edit
 
 SIM6 = simulate(SimConfig(p=6, s=0.35, k=3, m=1, n=3000, seed=7))
@@ -191,8 +197,93 @@ def test_dp_exact_is_deterministic():
     assert a.dag == b.dag and a.score == b.score
 
 
-def _dp_on_scores(monkeypatch, scores):
-    """dp_exact on p = 4 through a cache that serves fake local scores:
+# The loop DP that the array passes of dp_exact replaced, frozen as its
+# reference: per vertex, each S compared with S minus each member, then
+# each vertex set with each sink in ascending order.
+def _loop_dp(data, fam, max_p=15, max_parents=None):
+    p = data.p
+    if p > max_p:
+        raise TooLarge(p, max_p)
+    if max_parents is not None and max_parents < 0:
+        raise GraphError(f"max_parents must be >= 0, got {max_parents}")
+    _require_conservative(fam, p)
+    data.check_family(fam)
+    data.check_columns()
+    cache = gieskit.baselines.ScoreCache(data)
+    cap = (p - 1 if p <= 12 else 5) if max_parents is None else max_parents
+    full = (1 << p) - 1
+    neg_inf = float("-inf")
+
+    def bit(v):
+        return 1 << (v - 1)
+
+    def members(mask):
+        return [v for v in range(1, p + 1) if mask & bit(v)]
+
+    best_local = [None] + [[neg_inf] * (full + 1) for _ in range(p)]
+    best_pa = [None] + [[0] * (full + 1) for _ in range(p)]
+    for v in range(1, p + 1):
+        table = {
+            S: frozenset(members(S))
+            for S in range(full + 1)
+            if not S & bit(v) and S.bit_count() <= cap
+        }
+        cache.fill((v, pa) for pa in table.values())
+        bl, bp = best_local[v], best_pa[v]
+        bl[0] = local_score(v, table[0], data, cache=cache)
+        for S in range(1, full + 1):
+            if S & bit(v):
+                continue
+            best, arg = neg_inf, 0
+            for w in members(S):
+                sub = S & ~bit(w)
+                got, pa = bl[sub], bp[sub]
+                if got > best or got == best and (
+                    (pa.bit_count(), pa) < (arg.bit_count(), arg)
+                ):
+                    best, arg = got, pa
+            if S in table:
+                try:
+                    own = local_score(v, table[S], data, cache=cache)
+                except (InsufficientSamples, SingularDesign):
+                    own = neg_inf
+                if own > best:
+                    best, arg = own, S
+            bl[S], bp[S] = best, arg
+
+    best_net = [0.0] * (full + 1)
+    sink = [0] * (full + 1)
+    for U in range(1, full + 1):
+        best, arg = neg_inf, 0
+        for s in members(U):
+            rest = U & ~bit(s)
+            cand = best_net[rest] + best_local[s][rest]
+            if cand > best:
+                best, arg = cand, s
+        best_net[U], sink[U] = best, arg
+
+    arrows = []
+    U = full
+    while U:
+        s = sink[U]
+        U &= ~bit(s)
+        arrows.extend((w, s) for w in members(best_pa[s][U]))
+    return DpResult(
+        dag=Dag(p, arrows=arrows),
+        score=best_net[full],
+        metadata={"max_p": max_p, "max_parents": cap, "capped": cap < p - 1,
+                  "score": best_net[full]},
+    )
+
+
+def _assert_same_dp(got, want):
+    assert got.dag == want.dag
+    assert got.score == want.score and type(got.score) is float
+    assert got.metadata == want.metadata
+
+
+def _dp_on_scores(monkeypatch, scores, p=4, max_parents=None, dp=dp_exact):
+    """A dp on p vertices through a cache that serves fake local scores:
     s(v, P) from `scores` (None: an unfittable set), else 0 for the empty
     set and -1 for every other."""
     class FakeScores(gieskit.ScoreCache):
@@ -202,8 +293,8 @@ def _dp_on_scores(monkeypatch, scores):
                 self.memo[v, pa] = InsufficientSamples("unfittable") if got is None else got
 
     monkeypatch.setattr(gieskit.baselines, "ScoreCache", FakeScores)
-    data = InterventionalDataset(np.random.default_rng(0).normal(size=(20, 4)), [()] * 20)
-    return dp_exact(data, TargetFamily([()]))
+    data = InterventionalDataset(np.random.default_rng(0).normal(size=(20, p)), [()] * 20)
+    return dp(data, TargetFamily([()]), max_parents=max_parents)
 
 
 @pytest.mark.parametrize("scores, want", [
@@ -218,6 +309,54 @@ def test_dp_exact_breaks_score_ties_by_size_then_bitmask(monkeypatch, scores, wa
     res = _dp_on_scores(monkeypatch, scores)
     assert set(res.dag.arrows) == want
     assert res.score == 5.0
+
+
+
+@st.composite
+def fake_score_tables(draw):
+    """Local scores on p = 3..6 vertices from a few values, so that parent
+    sets and sinks often tie; every set but the empty one may be
+    unfittable (None)."""
+    p = draw(st.integers(3, 6))
+    values = st.sampled_from([-1.0, 0.0, 2.5, 5.0, None])
+    scores = {}
+    for v in range(1, p + 1):
+        others = [w for w in range(1, p + 1) if w != v]
+        for k in range(p):
+            for pa in itertools.combinations(others, k):
+                scores[v, frozenset(pa)] = draw(values.filter(lambda x: k or x is not None))
+    return p, scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(fake_score_tables(), st.sampled_from([None, 0, 1, 2]))
+def test_dp_exact_equals_the_loop_dp_on_tied_scores(table, cap):
+    p, scores = table
+    with pytest.MonkeyPatch.context() as mp:
+        got = _dp_on_scores(mp, scores, p, cap)
+        want = _dp_on_scores(mp, scores, p, cap, dp=_loop_dp)
+    _assert_same_dp(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 2**16), st.sampled_from([20, 200]),
+       st.sampled_from([None, 1, 2]))
+def test_dp_exact_equals_the_loop_dp_on_simulated_data(p, seed, n, cap):
+    sim = simulate(SimConfig(p=p, s=0.5, k=2, m=1, n=n, seed=seed))
+    try:
+        want = _loop_dp(sim.data, sim.fam, max_parents=cap)
+    except ScoringError as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            dp_exact(sim.data, sim.fam, max_parents=cap)
+        return
+    _assert_same_dp(dp_exact(sim.data, sim.fam, max_parents=cap), want)
+
+
+def test_dp_exact_raises_when_an_empty_parent_set_is_unfittable(monkeypatch):
+    # no DAG can score vertex 2, as in the loop DP
+    for dp in (dp_exact, _loop_dp):
+        with pytest.raises(InsufficientSamples):
+            _dp_on_scores(monkeypatch, {(2, frozenset()): None}, dp=dp)
 
 
 # -- data no learner can score ---------------------------------------------------

@@ -59,6 +59,19 @@ def test_dataset_basics():
     assert np.array_equal(obs.X, data.X)
 
 
+
+def test_erased_targets_share_the_samples_and_find_their_own_rows():
+    data = simulate(SimConfig(p=6, s=0.4, k=3, m=1, n=300, seed=3)).data
+    assert min(data.rows_excluding(v).size for v in range(1, 7)) < data.n
+    erased = data.erase_targets()
+    assert np.shares_memory(erased.X, data.X)
+    assert erased.targets == (frozenset(),) * data.n
+    # the row sets of the targeted data are not carried over
+    assert all(erased.rows_excluding(v).size == data.n for v in range(1, 7))
+    fresh = InterventionalDataset(data.X, [()] * data.n)
+    for v in range(1, 7):
+        assert local_score(v, [v % 6 + 1], erased) == local_score(v, [v % 6 + 1], fresh)
+
 def test_dataset_validation():
     with pytest.raises(ScoringError):
         InterventionalDataset(np.zeros(4), [()])

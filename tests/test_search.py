@@ -527,6 +527,36 @@ def test_a_ranking_state_is_bound_to_its_first_call():
     assert best_move(g, "forward", sim.data, cache, max_degree=0, state=state) is None
 
 
+
+SIM6_N300 = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda data: best_move(Graph(4), "forward", data),
+    lambda data: move_delta(MoveKind.INSERT, Graph(4), 1, 2, (), data),
+], ids=["best_move", "move_delta"])
+def test_a_graph_of_another_size_is_refused_before_any_score(call):
+    # four of the six columns would otherwise be scored as the whole data
+    with pytest.raises(ScoringError, match="^graph has 4 vertices, data has 6$"):
+        call(SIM6_N300.data)
+
+
+def test_a_ranking_state_for_another_vertex_count_is_refused():
+    with pytest.raises(GraphError, match="ranking state for 4 vertices .* graph of 6"):
+        best_move(Graph(6), "forward", SIM6_N300.data, state=_Ranking(4))
+
+
+@pytest.mark.parametrize("u, v", [(1, 7), (0, 2), (5, 1)])
+def test_a_move_naming_a_vertex_outside_the_graph_is_refused(u, v):
+    bad = u if not 1 <= u <= 4 else v
+    message = f"^vertex {bad} outside 1..4$"
+    with pytest.raises(GraphError, match=message):
+        valid_move(MoveKind.INSERT, Graph(4), u, v, ())
+    with pytest.raises(GraphError, match=message):
+        apply_move(Graph(4), MoveCandidate(MoveKind.INSERT, u, v, frozenset(), 1.0),
+                   TargetFamily([()]))
+
+
 # -- the full search -------------------------------------------------------------
 
 
