@@ -101,8 +101,9 @@ UNREAD_FLAGS = {
 }
 
 
-def _run_algo(algo, data, fam, opts, max_p=15, max_parents=None):
-    """Returns (graph, score, steps, trace) for one fit."""
+def _run_algo(algo, data, fam, opts, **limits):
+    """Returns (graph, score, steps, trace) for one fit; `limits` holds the
+    DP_FLAGS given, passed on to dp_exact."""
     if algo in ("gies", "gies-nt"):
         r = gies(data, fam, replace(opts, variant=algo))
         return r.graph.graph, r.score, r.steps, r.trace
@@ -113,7 +114,7 @@ def _run_algo(algo, data, fam, opts, max_p=15, max_parents=None):
         r = gds(data, fam, opts)
         return r.dag, r.score, r.steps, r.trace
     if algo == "dp":
-        r = dp_exact(data, fam, max_p=max_p, max_parents=max_parents)
+        r = dp_exact(data, fam, **limits)
         return r.dag, r.score, 0, None
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
 

@@ -399,16 +399,25 @@ def topological_order(g: Graph) -> VertexOrdering:
     return tuple(_kahn(g._ch, "arrows contain a directed cycle"))
 
 
+def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    """Raise GraphError for the first of the vertices outside 1..p. The O(1)
+    edge queries of Graph do not check, so functions taking vertex ids
+    from a caller check them here."""
+    for v in vertices:
+        if not 1 <= v <= g.p:
+            raise GraphError(f"vertex {v} outside 1..{g.p}")
+
+
 def component_of(g: Graph, v: int) -> frozenset[int]:
     """The line-connected component containing v."""
+    _check_vertices(g, (v,))
     return frozenset(_reach([v], g._nb.__getitem__))
 
 
 def _check_restriction(g: Graph, vertices: Iterable[int] | None) -> set[int]:
     vs = set(g.vertices) if vertices is None else set(vertices)
+    _check_vertices(g, vs)
     for v in vs:
-        if not 1 <= v <= g.p:
-            raise GraphError(f"vertex {v} outside 1..{g.p}")
         for w in g._pa[v]:
             if w in vs:
                 raise NotUndirected(
@@ -513,6 +522,7 @@ def has_path(
 ) -> bool:
     """True iff a path of >= 1 edges leads from `frm` to `to`, following
     arrows forward and lines either way, visiting no forbidden vertex."""
+    _check_vertices(g, (frm, to))
     blocked = set(forbidden)
     if frm in blocked or to in blocked:
         return False

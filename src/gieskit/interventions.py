@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotAnArrow,
+    _check_vertices,
     _orient_component,
     _reach,
     as_chain_graph,
@@ -183,10 +184,9 @@ def _require_conservative(fam: TargetFamily, p: int) -> None:
 def intervention_graph(g: Graph, target: Iterable[int]) -> Graph:
     """Cut every arrow pointing into the target set."""
     t = frozenset(target)
+    _check_vertices(g, t)
     out = g.copy()
     for b in t:
-        if b > g.p:
-            raise GraphError(f"target vertex {b} outside 1..{g.p}")
         for a in list(out._pa[b]):
             out._drop_edge(a, b)
     return out
@@ -238,6 +238,7 @@ def _strongly_protected(
 
 def strongly_protected(g: Graph, a: int, b: int, fam: TargetFamily) -> bool:
     """Whether the arrow a -> b is strongly protected in g given fam."""
+    _check_vertices(g, (a, b))
     if not g.has_arrow(a, b):
         raise NotAnArrow(f"({a}, {b}) is not an arrow of the graph")
     return _strongly_protected(g, a, b, fam.membership_index())

@@ -106,8 +106,12 @@ class InterventionalDataset:
         # an own, read-only copy, so no caller can write under the fits
         self._columns = np.array(X.T, order="C")
         self._columns.flags.writeable = False
-        self.targets: tuple[Target, ...] = tuple(frozenset(t) for t in targets)
-        for t in self.targets:
+        # rows share their target's frozenset; each distinct target is checked once
+        distinct: dict[Target, Target] = {}
+        self.targets: tuple[Target, ...] = tuple(
+            distinct.setdefault(t, t) for t in map(frozenset, targets)
+        )
+        for t in distinct:
             for v in t:
                 if not 1 <= v <= self.p:
                     raise ScoringError(f"target vertex {v} outside 1..{self.p}")
@@ -262,7 +266,10 @@ class ScoreCache:
     """Memo of local scores keyed by (vertex, parent set), bound to one
     dataset. A key that cannot be scored keeps its error, so a later lookup
     raises it again without a refit. `misses` counts the keys scored,
-    `hits` the lookups served from the memo."""
+    `hits` the lookups served from the memo. `rankings` holds the search's
+    ranking of each (phase, max_degree) scored against this cache
+    (search.best_move), so a ranking never meets other data, another
+    penalty or another vertex count."""
 
     def __init__(self, data: InterventionalDataset, penalty: str = "total"):
         if penalty not in ("total", "per-node"):
@@ -270,6 +277,7 @@ class ScoreCache:
         self.data = data
         self.penalty = penalty
         self.memo: dict[tuple[int, frozenset[int]], float | ScoringError] = {}
+        self.rankings: dict[tuple[str, int | None], object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -510,8 +518,7 @@ def mle_params(d: Dag, data: InterventionalDataset) -> GaussianModel:
     """Maximum-likelihood weights and error variances of d on the data,
     from the fits the score uses: a variance below VARIANCE_FLOOR raises
     DegenerateFit."""
-    if d.p != data.p:
-        raise ScoringError(f"graph has {d.p} vertices, data has {data.p}")
+    _check_vertex_count(d, data)
     p = d.p
     B = np.zeros((p, p))
     sigma2 = np.zeros(p)

@@ -23,13 +23,13 @@ exact ties fall back to the lexicographic key (kind, v, u, sorted C),
 computed once per candidate, so runs are deterministic. The path conditions
 are checked on this ranked walk only, and only strictly positive deltas are
 accepted. A move changes the pa/nb/ch sets of a few vertices (D), so the
-driver keeps one ranking state per phase that `best_move` brings up to date
-by diffing those sets: it rebuilds the candidates of each v in D or with a
-neighbour in D, and for every other v re-scores only the pairs (u, v) with
-u in D. The same driver runs the DAG-space search of `baselines.gds`: a
-DAG is a graph without lines, on which every C is empty, the candidates
-are exactly the single-arrow insertions, deletions and reversals, and
-`_edit` alone applies a move.
+score cache keeps one ranking per phase and max_degree, which `best_move`
+brings up to date by diffing those sets: it rebuilds the candidates of
+each v in D or with a neighbour in D, and for every other v re-scores only
+the pairs (u, v) with u in D. The same driver runs the DAG-space search
+of `baselines.gds`: a DAG is a graph without lines, on which every C is
+empty, the candidates are exactly the single-arrow insertions, deletions
+and reversals, and `_edit` alone applies a move.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .graphs import (
     NotAnArrow,
     NotAnEdge,
     VerticesAdjacent,
+    _check_vertices,
     _orient_component,
     _reach,
     as_chain_graph,
@@ -69,6 +70,7 @@ from .scoring import (
     UNFITTABLE,
     InterventionalDataset,
     ScoreCache,
+    ScoringError,
     _check_vertex_count,
     local_score,
     total_score,
@@ -284,8 +286,9 @@ def move_delta(
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow. A graph on other than data.p vertices
-    raises ScoringError."""
+    raises ScoringError, and a u or v outside 1..p GraphError."""
     _check_vertex_count(g, data)
+    _check_vertices(g, (u, v))
     if cache is None:
         cache = ScoreCache(data)
     return _delta(kind, _move_keys(kind, g, u, v, frozenset(C)), data, cache)
@@ -448,33 +451,16 @@ def _scored(
         yield MoveCandidate(kind, u, v, C, delta)
 
 
-def _candidates(
-    g: Graph,
-    kinds: tuple[MoveKind, ...],
-    data: InterventionalDataset,
-    cache: ScoreCache,
-    max_degree: int | None = None,
-    vertices: Iterable[int] | None = None,
-    partners: Iterable[int] | None = None,
-) -> Iterator[MoveCandidate]:
-    """Every scored (u, v, C) of the given kinds whose C passes its kind's
-    rule (_moves, with the same restrictions), visiting each v once; moves
-    that cannot be fitted are skipped."""
-    return _scored(g, _moves(g, kinds, max_degree, vertices, partners), data, cache)
-
-
 class _Ranking:
-    """What best_move keeps between the calls of one phase on p vertices:
-    the pa/nb/ch sets of each vertex at the last call, and the candidates
-    with a positive delta per v built from them. A fresh ranking has no
-    sets, so its first call finds every vertex changed and builds every
-    candidate. A ranking is bound to the kinds, cache and max_degree of its
-    first call: its candidates hold nothing else."""
+    """What best_move keeps between the calls of one phase and max_degree on
+    one cache (its key in ScoreCache.rankings): the pa/nb/ch sets of each
+    vertex at the last call, and the candidates with a positive delta per
+    v built from them. A fresh ranking has no sets, so its first call finds
+    every vertex changed and builds every candidate."""
 
     def __init__(self, p: int):
         self.sets: list[tuple | None] = [None] * (p + 1)
         self.positive: list[list[MoveCandidate]] = [[] for _ in range(p + 1)]
-        self.bound: tuple | None = None
 
     def refresh(
         self,
@@ -484,50 +470,39 @@ class _Ranking:
         cache: ScoreCache,
         max_degree: int | None,
     ) -> None:
-        """Bring the candidates up to date with g, a graph on the state's
-        p vertices (GraphError otherwise).
+        """Bring the candidates up to date with g.
 
         The candidates of a pair (u, v) depend on the sets of u and v, on
         the lines among nb(v) (the cliques C and how they separate), and
         under max_degree on |ad(u)| and |ad(v)|. With D the vertices whose
-        sets changed since the last call, v is rebuilt when v is in D or
+        sets differ from the last call's, v is rebuilt when v is in D or
         nb(v) meets D; every other v keeps its candidates with u outside D
-        and re-scores its pairs with u in D.
+        and re-scores its pairs with u in D. The ranking changes only once
+        every candidate is scored, so a call that raises leaves it as it
+        was.
         """
-        if g.p != len(self.sets) - 1:
-            raise GraphError(
-                f"a ranking state for {len(self.sets) - 1} vertices is used on "
-                f"a graph of {g.p}"
-            )
-        # a cache compares by identity
-        bound = (kinds, cache, max_degree)
-        if self.bound is None:
-            self.bound = bound
-        elif self.bound != bound:
-            raise GraphError(
-                "a ranking state is reused with another phase, cache or max_degree"
-            )
-        changed = set()
-        for x in g.vertices:
-            sets = (g._pa[x], g._nb[x], g._ch[x])
-            if self.sets[x] != sets:
-                self.sets[x] = tuple(frozenset(s) for s in sets)
-                changed.add(x)
+        changed = {
+            x for x in g.vertices
+            if self.sets[x] != (g._pa[x], g._nb[x], g._ch[x])
+        }
+        positive: list[list[MoveCandidate]] = [[] for _ in range(g.p + 1)]
         rebuild, keep = [], []
         for v in g.vertices:
             if v in changed or not changed.isdisjoint(g._nb[v]):
                 rebuild.append(v)
-                self.positive[v] = []
             else:
                 keep.append(v)
-                self.positive[v] = [c for c in self.positive[v] if c.u not in changed]
+                positive[v] = [c for c in self.positive[v] if c.u not in changed]
         moves = chain(
             _moves(g, kinds, max_degree, rebuild),
             _moves(g, kinds, max_degree, keep, changed),
         )
         for c in _scored(g, moves, data, cache):
             if c.delta > 0.0:
-                self.positive[c.v].append(c)
+                positive[c.v].append(c)
+        self.positive = positive
+        for x in changed:
+            self.sets[x] = tuple(map(frozenset, (g._pa[x], g._nb[x], g._ch[x])))
 
 
 def best_move(
@@ -536,22 +511,18 @@ def best_move(
     data: InterventionalDataset,
     cache: ScoreCache | None = None,
     max_degree: int | None = None,
-    state: _Ranking | None = None,
 ) -> MoveCandidate | None:
     """Best strictly improving valid move of one phase, or None.
 
     Candidates are sorted by delta (descending) with the lexicographic key
     as tie-break; the expensive path conditions are only checked on this
-    sorted walk, best first. `state` carries the phase's positive
-    candidates from one call to the next: a call rebuilds only those of the
-    vertices that changed or have a changed neighbour, and re-scores the
-    pairs whose u changed (_Ranking.refresh). A state is bound to the
-    phase, cache and max_degree of its first call, and a later call with
-    any other raises GraphError; a cache fixes the data and penalty mode.
-    A fresh state, or none, marks every vertex changed, so every candidate
-    is built. Without a cache, the call scores through one fresh cache, so
-    a state passed without a cache serves that one call only. A graph on
-    other than data.p vertices raises ScoringError.
+    sorted walk, best first. The cache keeps one ranking per phase and
+    max_degree (ScoreCache.rankings): a call rebuilds only the candidates
+    of the vertices that changed since the ranking's last call or have a
+    changed neighbour, and re-scores the pairs whose u changed
+    (_Ranking.refresh). Without a cache, the call scores through one fresh
+    cache and builds every candidate. A graph on other than data.p vertices,
+    or a cache bound to other data, raises ScoringError.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:
@@ -559,11 +530,14 @@ def best_move(
     _check_vertex_count(g, data)
     if cache is None:
         cache = ScoreCache(data)
-    if state is None:
-        state = _Ranking(g.p)
-    state.refresh(g, kinds, data, cache, max_degree)
+    elif cache.data is not data:
+        raise ScoringError("cache is bound to a different dataset")
+    ranking = cache.rankings.get((phase, max_degree))
+    if ranking is None:
+        ranking = cache.rankings[phase, max_degree] = _Ranking(data.p)
+    ranking.refresh(g, kinds, data, cache, max_degree)
     ranked = sorted(
-        (c for cs in state.positive for c in cs), key=attrgetter("rank")
+        (c for cs in ranking.positive for c in cs), key=attrgetter("rank")
     )
     # the enumeration checked every condition except the path conditions of
     # insert and turn-arrow, which valid_move checks here on the ranked walk
@@ -592,7 +566,6 @@ def run_phases(
     data.check_family(fam)
     data.check_columns()
     cache = ScoreCache(data, penalty=opts.penalty)
-    rankings = {phase: _Ranking(data.p) for phase in _PHASE_KINDS}
     g: Graph = Graph(data.p)
     score = total_score(Dag(data.p), data, cache=cache)
     trace = SearchTrace() if opts.trace else None
@@ -602,10 +575,7 @@ def run_phases(
         nonlocal g, score, steps
         changed = False
         while True:
-            move = best_move(
-                g, phase, data, cache=cache, max_degree=opts.max_degree,
-                state=rankings[phase],
-            )
+            move = best_move(g, phase, data, cache=cache, max_degree=opts.max_degree)
             if move is None:
                 return changed
             g = apply(g, move)

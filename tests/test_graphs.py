@@ -361,6 +361,18 @@ def test_graph_algorithms_name_bad_input(call, error, message):
         call(Graph(4, lines=[(1, 2), (2, 3), (3, 4)]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, x: component_of(g, x),
+    lambda g, x: has_path(g, x, 2),
+    lambda g, x: has_path(g, 2, x),
+], ids=["component_of", "has_path-from", "has_path-to"])
+@pytest.mark.parametrize("x", [-1, 0, 4])
+def test_a_vertex_outside_the_graph_is_refused(call, x):
+    # -1 used to index vertex 3 and 4 to raise IndexError
+    with pytest.raises(GraphError, match=f"^vertex {x} outside 1..3$"):
+        call(Graph(3, lines=[(2, 3)]), x)
+
+
 def test_is_perfect_elimination_fixture():
     g = cases.chordal_7v()
     assert is_perfect_elimination(cases.LEXBFS_ORDER, g)

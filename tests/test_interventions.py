@@ -127,6 +127,19 @@ def test_intervention_graph_fixtures():
         intervention_graph(d, {8})
 
 
+@pytest.mark.parametrize("call", [
+    lambda d, x: intervention_graph(d, [x]),
+    lambda d, x: strongly_protected(d, 1, x, TargetFamily([[], [1]])),
+    lambda d, x: strongly_protected(d, x, 3, TargetFamily([[], [1]])),
+], ids=["intervention_graph", "strongly_protected-head", "strongly_protected-tail"])
+@pytest.mark.parametrize("x", [-1, 0, 4])
+def test_a_vertex_outside_the_dag_is_refused(call, x):
+    # -1 used to stand for vertex 3: intervention_graph cut both arrows into
+    # 3, and strongly_protected answered for the arrow 1 -> 3
+    with pytest.raises(GraphError, match=f"^vertex {x} outside 1..3$"):
+        call(Dag(3, arrows=[(1, 3), (2, 3)]), x)
+
+
 def test_intervention_graph_keeps_outgoing_arrows():
     d = cases.dag_7v()
     cut = intervention_graph(d, {3})

@@ -168,6 +168,19 @@ def test_csv_round_trip(tmp_path):
     assert header == "x1,x2,x3,target"
 
 
+def test_rows_share_one_frozenset_per_distinct_target(tmp_path):
+    data = simulate(SimConfig(p=6, s=0.4, k=3, m=1, n=300, seed=3)).data
+    path = tmp_path / "d.csv"
+    data.to_csv(path)
+    back = InterventionalDataset.read_csv(path)
+    assert back.targets == data.targets
+    assert len({id(t) for t in back.targets}) == len(set(back.targets)) > 1
+    # each distinct target is checked once, and still checked
+    path.write_text(path.read_text() + ",".join(["0.5"] * 6) + ",2;7\n")
+    with pytest.raises(ScoringError, match="^target vertex 7 outside 1..6$"):
+        InterventionalDataset.read_csv(path)
+
+
 def test_read_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2\n1.0,2.0\n")

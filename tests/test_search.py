@@ -53,7 +53,7 @@ from gieskit import (
     total_score,
     valid_move,
 )
-from gieskit.search import _ADMITS, _PHASE_KINDS, _Ranking, _candidates, _clique_of_lines
+from gieskit.search import _ADMITS, _PHASE_KINDS, _clique_of_lines, _moves, _scored
 
 dag4_arrows = st.sampled_from(oracles.all_dag_arrow_sets(4))
 families4 = st.lists(
@@ -267,7 +267,7 @@ def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed)
     brute = _all_valid_moves(e)
     for phase, kinds in _PHASE_KINDS.items():
         got = [
-            c for c in _candidates(e, kinds, data, cache)
+            c for c in _scored(e, _moves(e, kinds), data, cache)
             if valid_move(c.kind, e, c.u, c.v, c.C)
         ]
         moves = [(c.kind, c.u, c.v, c.C) for c in got]
@@ -454,6 +454,10 @@ def test_best_move_refuses_a_cache_bound_to_other_data():
     foreign = ScoreCache(SIM6.data.erase_targets())
     with pytest.raises(ScoringError, match="bound to a different dataset"):
         best_move(Graph(6), "forward", SIM6.data, cache=foreign)
+    # refused before any key is scored into the foreign memo, and before
+    # a ranking is kept there
+    assert foreign.memo == {} and foreign.misses == 0
+    assert foreign.rankings == {}
 
 
 def test_move_delta_refuses_a_cache_bound_to_other_data():
@@ -478,20 +482,20 @@ def _key(c):
 # which gives the inserts at 7 the new clique C = {1, 4}
 @example(8, 0, 20, "gies", None)
 def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learner, max_degree):
-    # after every call in a run, the phase's state holds exactly the positive
-    # candidates a full enumeration builds, and the move is the stateless one
+    # after every call in a run, the cache's ranking of the phase holds
+    # exactly the positive candidates a full enumeration builds, and the move
+    # is the one a fresh cache gives
     sim = simulate(SimConfig(p=p, s=0.6, k=k, m=1, n=300, seed=seed))
     real = gieskit.search.best_move
     calls = []
 
-    def checked(g, phase, data, cache=None, max_degree=None, state=None):
-        move = real(g, phase, data, cache, max_degree, state)
-        kinds = _PHASE_KINDS[phase]
-        full = [c for c in _candidates(g, kinds, data, cache, max_degree) if c.delta > 0.0]
-        assert sorted(map(_key, (c for cs in state.positive for c in cs))) == sorted(
-            map(_key, full)
+    def checked(g, phase, data, cache=None, max_degree=None):
+        move = real(g, phase, data, cache, max_degree)
+        ranking = cache.rankings[phase, max_degree]
+        assert sorted(map(_key, _positive(ranking))) == sorted(
+            map(_key, _full_positive(g, phase, data, cache, max_degree))
         )
-        assert move == real(g, phase, data, cache, max_degree)
+        assert move == real(g, phase, data, ScoreCache(data, cache.penalty), max_degree)
         calls.append(move)
         return move
 
@@ -506,26 +510,61 @@ def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learne
     assert res.steps == sum(m is not None for m in calls)
 
 
-def test_a_ranking_state_is_bound_to_its_first_call():
-    # the state's candidates were built for one phase, cache and max_degree;
-    # reused with another, they would rank moves the call does not make
-    sim = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
-    g, cache = Graph(6), ScoreCache(sim.data)
-    state = _Ranking(6)
-    assert best_move(g, "forward", sim.data, cache=cache, state=state) is not None
-    with pytest.raises(GraphError, match="phase, cache or max_degree"):
-        best_move(g, "backward", sim.data, cache=cache, state=state)
-    assert best_move(g, "backward", sim.data, cache=cache) is None
+def _positive(ranking):
+    return [c for cs in ranking.positive for c in cs]
 
-    state = _Ranking(6)
-    assert best_move(g, "forward", sim.data, cache, max_degree=0, state=state) is None
-    with pytest.raises(GraphError, match="phase, cache or max_degree"):
-        best_move(g, "forward", sim.data, cache, max_degree=None, state=state)
-    with pytest.raises(GraphError, match="phase, cache or max_degree"):
-        best_move(g, "forward", sim.data, ScoreCache(sim.data), max_degree=0, state=state)
-    assert best_move(g, "forward", sim.data, cache, max_degree=None) is not None
-    assert best_move(g, "forward", sim.data, cache, max_degree=0, state=state) is None
 
+def _full_positive(g, phase, data, cache, max_degree=None):
+    moves = _moves(g, _PHASE_KINDS[phase], max_degree)
+    return [c for c in _scored(g, moves, data, cache) if c.delta > 0.0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(6, 8), st.integers(0, 2**16))
+def test_rankings_of_every_phase_and_cap_share_one_cache(p, seed):
+    # one cache keeps a ranking per (phase, max_degree); called in any
+    # order, on graphs that differ by more than one move, each call still
+    # gives the move of a fresh cache
+    sim = simulate(SimConfig(p=p, s=0.6, k=2, m=1, n=300, seed=seed))
+    res = gies(sim.data, sim.fam, GiesOptions(trace=True))
+    g, graphs = Graph(p), [Graph(p)]
+    for e in res.trace.entries:
+        move = MoveCandidate(MoveKind[e.kind.upper()], e.u, e.v, frozenset(e.C), e.delta)
+        g = apply_move(g, move, sim.fam)
+        graphs.append(g)
+    cache = ScoreCache(sim.data)
+    for g in graphs[::2] + graphs[1::2]:
+        for max_degree in (None, 2):
+            for phase in _PHASE_KINDS:
+                move = best_move(g, phase, sim.data, cache, max_degree)
+                assert move == best_move(g, phase, sim.data, ScoreCache(sim.data), max_degree)
+    assert set(cache.rankings) == {
+        (phase, cap) for phase in _PHASE_KINDS for cap in (None, 2)
+    }
+
+
+def test_a_failed_call_leaves_the_ranking_as_it_was(monkeypatch):
+    # the ranking outlives a call that raises inside the caller's cache; it
+    # must not then count the vertices of that call as up to date
+    sim = SIM6_N300
+    cache = ScoreCache(sim.data)
+    g = Graph(6)
+    first = best_move(g, "forward", sim.data, cache)
+    g = apply_move(g, first, sim.fam)
+    scored = gieskit.search._scored
+
+    def fail_once(*args):
+        monkeypatch.setattr(gieskit.search, "_scored", scored)
+        raise ScoringError("scoring failed")
+
+    monkeypatch.setattr(gieskit.search, "_scored", fail_once)
+    with pytest.raises(ScoringError, match="scoring failed"):
+        best_move(g, "forward", sim.data, cache)
+    move = best_move(g, "forward", sim.data, cache)
+    assert sorted(map(_key, _positive(cache.rankings["forward", None]))) == sorted(
+        map(_key, _full_positive(g, "forward", sim.data, cache))
+    )
+    assert move == best_move(g, "forward", sim.data, ScoreCache(sim.data))
 
 
 SIM6_N300 = simulate(SimConfig(p=6, s=0.4, k=2, m=1, n=300, seed=3))
@@ -541,9 +580,17 @@ def test_a_graph_of_another_size_is_refused_before_any_score(call):
         call(SIM6_N300.data)
 
 
-def test_a_ranking_state_for_another_vertex_count_is_refused():
-    with pytest.raises(GraphError, match="ranking state for 4 vertices .* graph of 6"):
-        best_move(Graph(6), "forward", SIM6_N300.data, state=_Ranking(4))
+@pytest.mark.parametrize("kind, u, v", [
+    (MoveKind.INSERT, 1, 7),
+    (MoveKind.INSERT, 0, 2),
+    (MoveKind.TURN_LINE, 7, 1),
+    (MoveKind.TURN_ARROW, 7, 1),
+    (MoveKind.DELETE, 2, -1),
+])
+def test_move_delta_refuses_a_vertex_outside_the_graph(kind, u, v):
+    bad = u if not 1 <= u <= 6 else v
+    with pytest.raises(GraphError, match=f"^vertex {bad} outside 1..6$"):
+        move_delta(kind, Graph(6), u, v, (), SIM6_N300.data)
 
 
 @pytest.mark.parametrize("u, v", [(1, 7), (0, 2), (5, 1)])
