@@ -12,6 +12,9 @@ in odd ones; then one `--trace 1` run per checkout at --trace-seed. Each
 run's result line (the last line it prints) is stored with its workload,
 seed and side. Criterion 11 of tests/test_acceptance.py runs once per
 checkout and its slope and medians are parsed from the line it prints.
+`dp_exact` runs per checkout on the criterion-11 shape at p = 12..15
+(degree 4, 40% of vertices as singleton targets, n = 1000, seed 400),
+and each p records the best wall time of two calls and the score.
 For each workload and end-to-end metric, the file also holds each side's
 median and quartiles and the number of pairs the change won (ties count
 for neither side).
@@ -61,6 +64,31 @@ def criterion_11(tree: Path) -> dict:
         "medians_s": dict(zip(m[3].split("/"), map(float, m[4].split("/")))),
         "total_s": int(m[5]),
     }
+
+
+DP_EXACT_TIMES = """
+import json, time
+from gieskit import SimConfig, dp_exact, simulate
+out = {}
+for p in (12, 13, 14, 15):
+    sim = simulate(SimConfig(p=p, s=4 / (p - 1), k=int(0.4 * p), m=1, n=1000, seed=400))
+    times = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        score = dp_exact(sim.data, sim.fam).score
+        times.append(time.perf_counter() - t0)
+    out[p] = {"best_s": min(times), "score": score}
+print(json.dumps(out))
+"""
+
+
+def dp_exact_times(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", DP_EXACT_TIMES],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -119,6 +147,7 @@ def main() -> int:
             "summary": summarize(runs, spec["end_to_end"]),
         }
     record["criterion_11"] = {side: criterion_11(tree) for side, tree in sides.items()}
+    record["dp_exact"] = {side: dp_exact_times(tree) for side, tree in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -153,9 +153,17 @@ def dp_exact(
     # that contains w (b1, r1) with S minus w (b0, r0)
     best = np.full((p + 1, full + 1), -np.inf)
     rank = np.tile(size << p | np.arange(full + 1), (p + 1, 1))
+    # one fill per parent-set size, for all vertices at once: the keys of
+    # the vertices that regress on one set over the same rows meet in one
+    # fill and share one design, while each fill's transient fits stay
+    # those of one size
+    for k in range(min(cap, p - 1) + 1):
+        layer = [S for S, pa in sets.items() if len(pa) == k]
+        cache.fill(
+            (v, sets[S]) for v in range(1, p + 1) for S in layer if not S & 1 << v - 1
+        )
     for v in range(1, p + 1):
         table = [S for S in sets if not S & 1 << v - 1]
-        cache.fill((v, sets[S]) for S in table)
         best[v, table] = [own(v, sets[S]) for S in table]
     for w in range(p):
         (b0, b1), (r0, r1) = (

@@ -486,6 +486,7 @@ def is_perfect_elimination(ordering: Sequence[int], g: Graph) -> bool:
     pos = {v: i for i, v in enumerate(ordering)}
     if len(pos) != len(ordering):
         raise GraphError("ordering contains duplicates")
+    _check_vertices(g, pos)
     for v in ordering:
         earlier = [w for w in g._nb[v] if pos.get(w, len(pos)) < pos[v]]
         for a, b in combinations(earlier, 2):
@@ -538,8 +539,11 @@ def cliques_in_neighborhood(
     within: Iterable[int],
 ) -> list[frozenset[int]]:
     """All subsets of `within` (including the empty set) that are cliques of
-    the line subgraph of g, in increasing size then lexicographic order."""
+    the line subgraph of g, in increasing size then lexicographic order. A
+    vertex outside 1..p raises GraphError."""
     base = sorted(within)
+    if base:  # the sorted ends bound every member
+        _check_vertices(g, (base[0], base[-1]))
     levels: list[list[tuple[int, ...]]] = [[()]]
     while levels[-1]:
         prev = levels[-1]

@@ -16,10 +16,13 @@ equal values to equivalent DAGs, which is what the greedy search exploits.
 
 Scores are computed in batches: `ScoreCache.fill` fits every missing
 (v, P) key of a batch at once, stacking the designs of one row set and
-parent-set size into one QR. A dataset stores its samples once, from
-construction, as the column-major matrix the fits read (`X` is a read-only
-view of it), and a batch holds at most one transient copy of the rows of
-one row set short of all rows, while it fits that set. numpy
+parent-set size into one QR. A design is a (row set, P) pair, and every
+vertex of the row set that regresses on P reads the same one, so a batch
+factors each distinct design once and each of its keys reuses that
+factorization for its own response column. A dataset stores its samples
+once, from construction, as the column-major matrix the fits read (`X` is
+a read-only view of it), and a batch holds at most one transient copy of
+the rows of one row set short of all rows, while it fits that set. numpy
 makes the same LAPACK/BLAS call per stack member as for a single matrix,
 so each score is bitwise the score of its own fit, whatever batch it was
 computed in.
@@ -323,9 +326,11 @@ def _bad_key(v: int, parents: tuple[int, ...], p: int) -> str:
     return f"key (vertex {v}, parents {list(parents)}): {why}"
 
 
-#: Element budget of one stacked fit: the parent sets of one size on one row
-#: set are fitted in chunks of at most this many design entries (members
-#: x rows x parents), and of at least one member.
+#: Element budget of one stacked fit: the designs of one parent-set size and
+#: key count on one row set are fitted in chunks of at most this many design
+#: entries (members x rows x parents, one member per key). A chunk holds
+#: whole designs, at least one, so a design with more keys than the budget
+#: is one chunk.
 STACK_BUDGET = 32768
 
 Fit = tuple[np.ndarray, float, int]
@@ -342,16 +347,20 @@ def _fit(
     of a key that cannot be scored: an UNFITTABLE error, or DegenerateFit
     for a variance below VARIANCE_FLOOR.
 
-    Keys of one row set and parent-set size are fitted together, by QR on a
-    stack of designs gathered from the dataset's column-major matrix (for
-    a row set short of all rows, from a copy of those rows taken once
-    per call and dropped when the set's keys are done). numpy's stacked
-    qr, solve and matmul make the same LAPACK/BLAS call per member as on
-    one matrix, so each member's result is bitwise the result of fitting it
-    alone."""
+    A design is one (row set, parent set): the keys of all vertices that
+    regress on it share one factorization, so each call factors each
+    distinct design once. The designs of one row set, parent-set size and
+    key count are fitted together, by QR on a stack of designs gathered
+    from the dataset's column-major matrix (for a row set short of all
+    rows, from a copy of those rows taken once per call and dropped when
+    the set's keys are done), and each design's factors broadcast over its
+    keys. numpy's stacked qr, solve and matmul make the same LAPACK/BLAS
+    call per member, broadcast or not, as on one matrix, so each key's
+    result is bitwise the result of fitting it alone."""
     out: list[Fit | ScoringError | None] = [None] * len(keys)
     rows, group_of = data._row_groups
-    groups: dict[int, dict[int, list[int]]] = {}
+    # (row set, parent set): the keys of one design
+    designs: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for i, (v, parents) in enumerate(keys):
         g = group_of[v - 1]
         n_v = rows[g].size
@@ -361,36 +370,46 @@ def _fit(
                 f"vertex {v}: {n_v} usable rows cannot identify {k} coefficients"
             )
         else:
-            groups.setdefault(g, {}).setdefault(k, []).append(i)
-    for g, sizes in groups.items():
+            designs.setdefault((g, parents), []).append(i)
+    # row set -> (parent-set size, keys per design) -> the designs of one stack
+    stacks: dict[int, dict[tuple[int, int], list[list[int]]]] = {}
+    for (g, parents), members in designs.items():
+        stacks.setdefault(g, {}).setdefault((len(parents), len(members)), []).append(members)
+    for g, shapes in stacks.items():
         n_v = rows[g].size
         XT = data._columns if n_v == data.n else data._columns.take(rows[g], axis=1)
-        for k, members in sizes.items():
-            step = max(1, STACK_BUDGET // (n_v * max(k, 1)))
-            for start in range(0, len(members), step):
-                chunk = members[start : start + step]
-                fits = _fit_stack(XT, [keys[i] for i in chunk])
-                for i, fit in zip(chunk, fits):
+        for (k, r), same in shapes.items():
+            step = max(1, STACK_BUDGET // (n_v * max(k, 1) * r))
+            for start in range(0, len(same), step):
+                chunk = same[start : start + step]
+                # key j of every design, for j = 0 .. r - 1
+                order = [i for row in zip(*chunk) for i in row]
+                fits = _fit_stack(XT, [keys[i] for i in order], len(chunk))
+                for i, fit in zip(order, fits):
                     out[i] = fit
         del XT  # before the next set's copy is taken
     return out
 
 
 def _fit_stack(
-    XT: np.ndarray, keys: list[tuple[int, tuple[int, ...]]]
+    XT: np.ndarray, keys: list[tuple[int, tuple[int, ...]]], d: int
 ) -> list[Fit | ScoringError]:
-    """_fit of keys that share their rows and the parent-set size; row
-    j - 1 of XT holds column j of X over those rows, in C order."""
+    """_fit of keys that share their rows and the parent-set size, given
+    key by key across d designs: key j * d + i is key j of design i, and
+    all keys of a design have its parent set. Row j - 1 of XT holds column
+    j of X over those rows, in C order. Each design is factored once and
+    its factors broadcast over its keys, so none is copied per key."""
     n_v = XT.shape[1]
+    k = len(keys[0][1])
     # rows of XT are contiguous, so these gathers copy whole rows; the
     # designs must be C-ordered, because a matmul on F-ordered members
     # rounds differently
-    Y = XT[[v - 1 for v, _ in keys]]
-    if len(keys[0][1]) == 0:
-        full_rank = [True] * len(keys)
-        fitted = ((np.empty(0), float(y @ y)) for y in Y)
+    Y = XT[[v - 1 for v, _ in keys]].reshape(-1, d, n_v)
+    if k == 0:
+        full_rank = [True] * d
+        fitted = ((np.empty(0), float(y @ y)) for y in Y.reshape(-1, n_v))
     else:
-        cols = np.array([parents for _, parents in keys]) - 1
+        cols = np.array([parents for _, parents in keys[:d]]) - 1
         A = np.ascontiguousarray(XT[cols].transpose(0, 2, 1))
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
@@ -398,14 +417,14 @@ def _fit_stack(
         full_rank = (dmax != 0.0) & ~(diag.min(axis=1) < RANK_RTOL * dmax)
         # a rank-deficient member would fail solve for the whole stack
         if not full_rank.all():
-            Q, R, A, Y = Q[full_rank], R[full_rank], A[full_rank], Y[full_rank]
-        Yc = Y[:, :, None]
+            Q, R, A, Y = Q[full_rank], R[full_rank], A[full_rank], Y[:, full_rank]
+        Yc = Y[..., None]
         coefs = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Yc)
         resid = Yc - A @ coefs
-        rss = (resid.transpose(0, 2, 1) @ resid)[:, 0, 0]
-        fitted = zip(coefs[:, :, 0], rss.tolist())
+        rss = (resid.swapaxes(2, 3) @ resid)[..., 0, 0]
+        fitted = zip(coefs.reshape(-1, k), rss.ravel().tolist())
     out: list[Fit | ScoringError] = []
-    for (v, parents), good in zip(keys, full_rank):
+    for (v, parents), good in zip(keys, list(full_rank) * (len(keys) // d)):
         if not good:
             out.append(SingularDesign(
                 f"vertex {v}: parent columns {sorted(parents)} are rank deficient"

@@ -203,9 +203,7 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
     turn-arrow every such path other than the arrow itself to pass through
     C or nb(u). A u or v outside 1..p raises GraphError.
     """
-    for x in (u, v):
-        if not 1 <= x <= g.p:
-            raise GraphError(f"vertex {x} outside 1..{g.p}")
+    _check_vertices(g, (u, v))
     if kind is MoveKind.INSERT:
         if u == v:
             raise GraphError("u and v must differ")

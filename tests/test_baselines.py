@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -350,6 +351,25 @@ def test_dp_exact_equals_the_loop_dp_on_simulated_data(p, seed, n, cap):
             dp_exact(sim.data, sim.fam, max_parents=cap)
         return
     _assert_same_dp(dp_exact(sim.data, sim.fam, max_parents=cap), want)
+
+
+@pytest.mark.parametrize("p, cap", [(6, None), (8, 2)])
+def test_dp_exact_fills_one_parent_set_size_at_a_time(p, cap, monkeypatch):
+    # one fit per size over all vertices, so that the keys of the vertices
+    # regressing on one set meet in one fill; each key is fitted once
+    sim = simulate(SimConfig(p=p, s=0.5, k=2, m=1, n=200, seed=5))
+    want = _loop_dp(sim.data, sim.fam, max_parents=cap)
+    calls = []
+    fit = gieskit.scoring._fit
+    monkeypatch.setattr(
+        gieskit.scoring, "_fit", lambda data, keys: calls.append(keys) or fit(data, keys)
+    )
+    _assert_same_dp(dp_exact(sim.data, sim.fam, max_parents=cap), want)
+    top = want.metadata["max_parents"]
+    assert [{len(pa) for _, pa in keys} for keys in calls] == [{k} for k in range(top + 1)]
+    fitted = [key for keys in calls for key in keys]
+    assert len(set(fitted)) == len(fitted)
+    assert len(fitted) == p * sum(math.comb(p - 1, k) for k in range(top + 1))
 
 
 def test_dp_exact_raises_when_an_empty_parent_set_is_unfittable(monkeypatch):

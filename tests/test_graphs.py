@@ -365,10 +365,16 @@ def test_graph_algorithms_name_bad_input(call, error, message):
     lambda g, x: component_of(g, x),
     lambda g, x: has_path(g, x, 2),
     lambda g, x: has_path(g, 2, x),
-], ids=["component_of", "has_path-from", "has_path-to"])
+    lambda g, x: cliques_in_neighborhood(g, [x]),
+    lambda g, x: cliques_in_neighborhood(g, [3, x, 2]),
+    lambda g, x: is_perfect_elimination([2, x], g),
+], ids=["component_of", "has_path-from", "has_path-to", "cliques-alone",
+        "cliques-among-others", "perfect-elimination"])
 @pytest.mark.parametrize("x", [-1, 0, 4])
 def test_a_vertex_outside_the_graph_is_refused(call, x):
-    # -1 used to index vertex 3 and 4 to raise IndexError
+    # -1 used to index vertex 3 and 4 to raise IndexError; the clique and
+    # elimination checks answered quietly, cliques_in_neighborhood(g, [4])
+    # with [frozenset(), frozenset({4})]
     with pytest.raises(GraphError, match=f"^vertex {x} outside 1..3$"):
         call(Graph(3, lines=[(2, 3)]), x)
 

@@ -4,6 +4,7 @@ score cache's fill."""
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gieskit.scoring
 from gieskit import (
     Dag,
     DegenerateFit,
@@ -185,6 +187,95 @@ def test_mixed_keys_equal_the_per_key_fits(seed):
 
 def test_a_stack_of_rank_deficient_members_only():
     _assert_same([(12, (6, 7)), (11, (6, 7)), (10, (7, 6))])
+
+
+def test_a_design_shared_by_several_vertices_equals_the_per_key_fits():
+    # vertices 4..12 share all 300 rows, so each parent set is one design
+    # for every one of them that it does not contain
+    _assert_same([
+        (v, parents)
+        for parents in ((1,), (1, 2), (4, 5, 6), (2, 5, 9, 10, 11))
+        for v in range(4, P + 1) if v not in parents
+    ])
+
+
+def test_one_parent_set_on_different_row_sets_is_not_shared():
+    # vertices 1, 2 and 10 each have their own rows (270, 270 and 300), so
+    # (4, 5) is three designs; vertex 3 has 3 rows and fits one parent
+    keys = [(1, (4, 5)), (2, (4, 5)), (10, (4, 5)), (11, (4, 5)), (3, (4,)), (1, (4,))]
+    _assert_same(keys)
+    shapes = sorted((k, rows) for k, rows, _ in _factored(keys))
+    assert shapes == [(1, 3), (1, 270), (2, 270), (2, 270), (2, 300)]
+
+
+def test_a_shared_rank_deficient_design_equals_the_per_key_fits():
+    # (6, 7) is singular and (5, 8) of full rank, each shared by two
+    # vertices: one stack of the two designs, beside one unshared design
+    _assert_same([(12, (6, 7)), (12, (5, 8)), (11, (6, 7)), (10, (1, 4)), (11, (5, 8))])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_shared_designs_spanning_chunks_stay_whole(k, monkeypatch):
+    # every design of k parents among 1..12 on the vertices 4..12 outside
+    # it: several chunks, each of whole designs with equally many keys, all
+    # of one parent set each, and of at most the budget
+    stacks = []
+    fit_stack = gieskit.scoring._fit_stack
+    monkeypatch.setattr(
+        gieskit.scoring, "_fit_stack",
+        lambda XT, keys, d: stacks.append((keys, d)) or fit_stack(XT, keys, d),
+    )
+    keys = [
+        (v, parents)
+        for parents in itertools.combinations(range(1, P + 1), k)
+        for v in range(4, P + 1) if v not in parents
+    ]
+    _assert_same(keys)
+    assert len(stacks) > 1
+    assert sorted(key for stack, _ in stacks for key in stack) == sorted(keys)
+    chunk_of = {}
+    for n, (stack, d) in enumerate(stacks):
+        assert len(stack) % d == 0
+        assert len(stack) <= STACK_BUDGET // (DATA.n * k)
+        for i in range(d):
+            assert {parents for _, parents in stack[i::d]} == {stack[i][1]}
+            assert chunk_of.setdefault(stack[i][1], n) == n
+
+
+def _factored(keys, data=DATA) -> list[tuple[int, int, bytes]]:
+    """(parent count, rows, bytes) of every design that np.linalg.qr
+    factors in one _fit of the keys."""
+    factored = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        factored.extend(
+            (m.shape[1], m.shape[0], m.tobytes()) for m in a.reshape(-1, *a.shape[-2:])
+        )
+        return qr(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", counted)
+        _fit(data, keys)
+    return factored
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_distinct_design_is_factored_once_per_call(seed):
+    # the batch of test_mixed_keys_equal_the_per_key_fits, plus one design
+    # on all nine vertices that share every row: every row set, size,
+    # outcome and duplicate keys in one call
+    rng = np.random.default_rng(seed)
+    keys = [key for k in rng.integers(0, 7, 60) for key in _keys(rng, 1, int(k))]
+    keys += [(12, (6, 7)), (11, (6, 7)), (12, (5, 8)), (3, (1, 2)), (3, (4,)), keys[0]]
+    keys += [(v, (1, 2)) for v in range(4, P + 1)]
+    designs = {
+        (id(DATA.rows_excluding(v)), parents)
+        for v, parents in keys
+        if parents and DATA.rows_excluding(v).size > len(parents) + 1
+    }
+    factored = [design for _, _, design in _factored(keys)]
+    assert len(factored) == len(set(factored)) == len(designs)
 
 
 @st.composite
