@@ -10,11 +10,15 @@ For every workload of BENCHMARK.json and every seed, runs
 `run_seconds`, the parent first in even-numbered pairs and the change first
 in odd ones; then one `--trace 1` run per checkout at --trace-seed. Each
 run's result line (the last line it prints) is stored with its workload,
-seed and side. Criterion 11 of tests/test_acceptance.py runs once per
-checkout and its slope and medians are parsed from the line it prints.
-`dp_exact` runs per checkout on the criterion-11 shape at p = 12..15
-(degree 4, 40% of vertices as singleton targets, n = 1000, seed 400),
-and each p records the best wall time of two calls and the score.
+seed and side. Two one-off timings follow, each run twice per checkout in
+the order parent, change, change, parent, so that a drift of the host over
+the recording falls on both sides alike; every run is stored, and per side
+the best time of each p over its two runs:
+- criterion 11 of tests/test_acceptance.py, whose slope and medians are
+  parsed from the line it prints;
+- `dp_exact` on the criterion-11 shape at p = 12..15 (degree 4, 40% of
+  vertices as singleton targets, n = 1000, seed 400), each p recording
+  the best wall time of two calls and the score.
 For each workload and end-to-end metric, the file also holds each side's
 median and quartiles and the number of pairs the change won (ties count
 for neither side).
@@ -91,6 +95,23 @@ def dp_exact_times(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+#: The order of the one-off timings' runs.
+ALTERNATING = ("parent", "change", "change", "parent")
+
+
+def alternate(run, sides: dict[str, Path], times) -> dict:
+    """`run(tree)` on each side in ALTERNATING order: every result in run
+    order, and per side the best time of each p, where `times(result)` maps
+    p to the run's seconds."""
+    runs = [{"side": side, "result": run(sides[side])} for side in ALTERNATING]
+    best: dict[str, dict] = {}
+    for r in runs:
+        side_best = best.setdefault(r["side"], {})
+        for p, seconds in times(r["result"]).items():
+            side_best[p] = min(seconds, side_best.get(p, seconds))
+    return {"runs": runs, "best_s": best}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, and the
     pairs the change won."""
@@ -146,8 +167,10 @@ def main() -> int:
             "trace_1": traced,
             "summary": summarize(runs, spec["end_to_end"]),
         }
-    record["criterion_11"] = {side: criterion_11(tree) for side, tree in sides.items()}
-    record["dp_exact"] = {side: dp_exact_times(tree) for side, tree in sides.items()}
+    record["criterion_11"] = alternate(criterion_11, sides, lambda r: r["medians_s"])
+    record["dp_exact"] = alternate(
+        dp_exact_times, sides, lambda r: {p: t["best_s"] for p, t in r.items()}
+    )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

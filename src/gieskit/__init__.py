@@ -73,11 +73,7 @@ from .search import (
     SearchResult,
     SearchTrace,
     TraceEntry,
-    apply_delete,
-    apply_insert,
     apply_move,
-    apply_turn_arrow,
-    apply_turn_line,
     best_move,
     gies,
     move_delta,
@@ -117,8 +113,7 @@ __all__ = [
     "mle_params", "total_score",
     "GiesOptions", "InvalidMove", "MoveCandidate", "MoveKind",
     "SearchResult", "SearchTrace", "TraceEntry",
-    "apply_delete", "apply_insert", "apply_move", "apply_turn_arrow",
-    "apply_turn_line", "best_move", "gies", "move_delta", "valid_move",
+    "apply_move", "best_move", "gies", "move_delta", "valid_move",
     "DagSearchResult", "DpResult", "TooLarge", "dp_exact", "gds", "ges",
     "InfeasibleTargets", "InvalidSimConfig", "SimConfig", "SimResult",
     "random_dag", "random_model", "random_targets", "sample", "simulate",

@@ -19,10 +19,11 @@ sweep order.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral
+from types import MappingProxyType
 from typing import Iterator
 
 from .graphs import (
@@ -64,10 +65,11 @@ class TargetFamily:
 
     Order and duplicates are preserved (they matter for round-robin sample
     allocation); equivalence and protection checks use the deduplicated
-    member list.
+    member list `unique`. The family is immutable, so `unique` and the
+    membership index are built once, here.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "unique", "_index")
 
     def __init__(self, targets: Iterable[Iterable[int]] = ()):
         members = []
@@ -82,6 +84,11 @@ class TargetFamily:
                     raise GraphError(f"target vertex {v} is not a positive id")
             members.append(frozenset(int(v) for v in t))
         self.members: tuple[Target, ...] = tuple(members)
+        self.unique: tuple[Target, ...] = tuple(dict.fromkeys(members))
+        self._index = MappingProxyType({
+            v: frozenset(i for i, t in enumerate(self.unique) if v in t)
+            for v in set().union(*self.unique)
+        })
 
     def __iter__(self) -> Iterator[Target]:
         return iter(self.members)
@@ -103,12 +110,9 @@ class TargetFamily:
     def __repr__(self) -> str:
         return f"TargetFamily({[sorted(t) for t in self.members]})"
 
-    @property
-    def unique(self) -> tuple[Target, ...]:
-        seen: dict[Target, None] = {}
-        for t in self.members:
-            seen.setdefault(t)
-        return tuple(seen)
+    def __reduce__(self):
+        # rebuilt from the members: the read-only index does not pickle
+        return TargetFamily, (self.members,)
 
     def conservative(self, p: int) -> bool:
         """True iff every vertex 1..p is absent from at least one member."""
@@ -122,14 +126,11 @@ class TargetFamily:
                 if v > p:
                     raise GraphError(f"target vertex {v} outside 1..{p}")
 
-    def membership_index(self) -> dict[int, frozenset[int]]:
+    def membership_index(self) -> Mapping[int, frozenset[int]]:
         """Map vertex -> indices of unique members containing it; two
-        vertices are separated by some target iff their index sets differ."""
-        unique = self.unique
-        return {
-            v: frozenset(i for i, t in enumerate(unique) if v in t)
-            for v in set().union(*unique)
-        }
+        vertices are separated by some target iff their index sets differ.
+        A read-only view of the map built once by __init__."""
+        return self._index
 
     # -- serialization: JSON array of arrays, e.g. [[], [4], [3, 5]] --
 
@@ -208,13 +209,13 @@ def markov_equivalent(d1: Dag, d2: Dag, fam: TargetFamily) -> bool:
     return True
 
 
-def _pair_separated(memb: dict[int, frozenset[int]], a: int, b: int) -> bool:
+def _pair_separated(memb: Mapping[int, frozenset[int]], a: int, b: int) -> bool:
     # some target contains exactly one of a, b
     return memb.get(a, frozenset()) != memb.get(b, frozenset())
 
 
 def _strongly_protected(
-    g: Graph, a: int, b: int, memb: dict[int, frozenset[int]]
+    g: Graph, a: int, b: int, memb: Mapping[int, frozenset[int]]
 ) -> bool:
     if _pair_separated(memb, a, b):
         return True

@@ -34,6 +34,8 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,11 +85,23 @@ class FamilyMismatch(ScoringError):
 UNFITTABLE = (InsufficientSamples, SingularDesign)
 
 
+def _vertex_error(v: object, p: int) -> str | None:
+    """Why v is not a vertex id of 1..p by TargetFamily's rule (an Integral
+    that is not a bool), or None if it is one."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        return f"{v!r} is not an integer vertex id"
+    return None if 1 <= v <= p else f"{v} outside 1..{p}"
+
+
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row. The
     dataset holds the one copy of the samples it reads: a read-only p x n
     C-ordered matrix whose row j - 1 is column j of X, taken at
-    construction. `X` is a view of it, not a copy."""
+    construction. `X` is a view of it, not a copy.
+
+    Each distinct row target is checked once: a target vertex must be an
+    integer id in 1..p, else ScoringError. A row target equal to an earlier
+    one shares its set, so {True} after {1} is read as {1} (True == 1)."""
 
     def __init__(self, X: np.ndarray, targets: Sequence[Iterable[int]]):
         X = np.asarray(X, dtype=np.float64)
@@ -116,8 +130,9 @@ class InterventionalDataset:
         )
         for t in distinct:
             for v in t:
-                if not 1 <= v <= self.p:
-                    raise ScoringError(f"target vertex {v} outside 1..{self.p}")
+                why = _vertex_error(v, self.p)
+                if why:
+                    raise ScoringError(f"target vertex {why}")
 
     @property
     def X(self) -> np.ndarray:
@@ -131,12 +146,6 @@ class InterventionalDataset:
     @property
     def p(self) -> int:
         return self._columns.shape[0]
-
-    def rows_excluding(self, v: int) -> np.ndarray:
-        """Indices of rows whose target does not contain v. Vertices with
-        the same such rows share one array."""
-        rows, group_of = self._row_groups
-        return rows[group_of[v - 1]]
 
     @cached_property
     def _row_groups(self) -> tuple[list[np.ndarray], list[int]]:
@@ -224,7 +233,11 @@ class InterventionalDataset:
             p = len(header) - 1
             if header[:-1] != [f"x{j}" for j in range(1, p + 1)]:
                 raise ScoringError("line 1: CSV columns must be x1..xp,target")
-            rows, targets, lines = [], [], []
+            # one float64 buffer that doubles when full: no boxed float and
+            # no small array per row (thousands of small blocks, once freed,
+            # left a fresh process's heap slower for the fits that follow)
+            X = np.empty((1024, p))
+            targets, lines = [], []
             for rec in r:
                 if not rec:
                     continue
@@ -232,16 +245,18 @@ class InterventionalDataset:
                     raise ScoringError(
                         f"line {r.line_num}: {len(rec)} fields, expected {p + 1}"
                     )
+                if len(lines) == len(X):
+                    X = np.concatenate([X, np.empty_like(X)])
                 try:
-                    rows.append([float(x) for x in rec[:p]])
+                    X[len(lines)] = rec[:p]  # numpy parses each cell as float() does
                     cell = rec[p].strip()
                     targets.append([int(v) for v in cell.split(";")] if cell else [])
                 except ValueError:
                     raise _cell_error(r.line_num, header, rec) from None
                 lines.append(r.line_num)
-            if not rows:
+            if not lines:
                 raise ScoringError("no data rows after the header on line 1")
-        X = np.asarray(rows, dtype=np.float64)
+        X = X[: len(lines)]
         bad = np.argwhere(~np.isfinite(X))
         if bad.size:
             row, col = bad[0]
@@ -286,9 +301,11 @@ class ScoreCache:
 
     def fill(self, keys: Iterable[tuple[int, frozenset[int]]]) -> None:
         """Score every key missing from the memo, in one stacked fit. A
-        missing key whose vertex or a parent lies outside 1..p, or whose
-        vertex is among its parents, raises ScoringError before any fit and
-        is not memoized."""
+        missing key whose vertex or a parent is not an integer id in 1..p,
+        or whose vertex is among its parents, raises ScoringError before any
+        fit and is not memoized. Only missing keys are checked: a key equal
+        to a memoized one is served from the memo, so (True, P) finds a
+        memoized (1, P), since True == 1."""
         memo = self.memo
         missing = list(dict.fromkeys(key for key in keys if key not in memo))
         if not missing:
@@ -296,12 +313,12 @@ class ScoreCache:
         p = self.data.p
         sorted_keys = []
         for v, pa in missing:
-            parents = tuple(sorted(pa))
-            if not 1 <= v <= p or v in pa or parents and not (
-                1 <= parents[0] and parents[-1] <= p
-            ):
-                raise ScoringError(_bad_key(v, parents, p))
-            sorted_keys.append((v, parents))
+            ids = (v, *pa)
+            # ints in 1..p pass at once; any other id meets TargetFamily's rule
+            fast = {int}.issuperset(map(type, ids)) and 0 < min(ids) and max(ids) <= p
+            if not fast and any(map(_vertex_error, ids, repeat(p))) or v in pa:
+                raise ScoringError(_bad_key(v, pa, p))
+            sorted_keys.append((v, tuple(sorted(pa))))
         self.misses += len(missing)
         fits = _fit(self.data, sorted_keys)
         n = self.data.n
@@ -315,15 +332,19 @@ class ScoreCache:
             memo[v, pa] = float(score)
 
 
-def _bad_key(v: int, parents: tuple[int, ...], p: int) -> str:
-    """Why a (vertex, sorted parents) key names no local score on p vertices."""
-    if not 1 <= v <= p:
-        why = f"vertex {v} outside 1..{p}"
-    elif v in parents:
-        why = f"vertex {v} is its own parent"
+def _bad_key(v: object, pa: frozenset, p: int) -> str:
+    """Why a (vertex, parents) key names no local score on p vertices."""
+    try:
+        parents = sorted(pa)
+    except TypeError:  # ids of types that do not compare
+        parents = list(pa)
+    why = _vertex_error(v, p)
+    if why:
+        why = f"vertex {why}"
     else:
-        why = f"parent {min(u for u in parents if not 1 <= u <= p)} outside 1..{p}"
-    return f"key (vertex {v}, parents {list(parents)}): {why}"
+        bad = next(filter(None, map(_vertex_error, parents, repeat(p))), None)
+        why = f"parent {bad}" if bad else f"vertex {v} is its own parent"
+    return f"key (vertex {v}, parents {parents}): {why}"
 
 
 #: Element budget of one stacked fit: the designs of one parent-set size and
@@ -413,8 +434,9 @@ def _fit_stack(
         A = np.ascontiguousarray(XT[cols].transpose(0, 2, 1))
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        dmax = diag.max(axis=1)
-        full_rank = (dmax != 0.0) & ~(diag.min(axis=1) < RANK_RTOL * dmax)
+        # strict, so a zero diagonal is singular even when RANK_RTOL times a
+        # subnormal maximum underflows to zero
+        full_rank = diag.min(axis=1) > RANK_RTOL * diag.max(axis=1)
         # a rank-deficient member would fail solve for the whole stack
         if not full_rank.all():
             Q, R, A, Y = Q[full_rank], R[full_rank], A[full_rank], Y[:, full_rank]
@@ -450,20 +472,35 @@ def _fit_stack(
     return out
 
 
+def _bound_cache(
+    data: InterventionalDataset, cache: ScoreCache | None, penalty: str | None = None
+) -> ScoreCache:
+    """The cache that scores a call on data: without a cache, a fresh one
+    with the penalty ("total" if none is given); else the given cache. A
+    cache bound to other data, or to a penalty other than a given one,
+    raises ScoringError."""
+    if cache is None:
+        return ScoreCache(data, "total" if penalty is None else penalty)
+    if cache.data is not data:
+        raise ScoringError("cache is bound to a different dataset")
+    if penalty is not None and penalty != cache.penalty:
+        raise ScoringError(
+            f"penalty {penalty!r} disagrees with the cache's penalty {cache.penalty!r}"
+        )
+    return cache
+
+
 def local_score(
     v: int,
     parents: Iterable[int],
     data: InterventionalDataset,
-    penalty: str = "total",
+    penalty: str | None = None,
     cache: ScoreCache | None = None,
 ) -> float:
-    """BIC contribution of vertex v with the given parent set. A cache
-    fixes the penalty mode, and `penalty` is then not read. A key missing
-    from the cache is scored by a fill of that one key."""
-    if cache is None:
-        cache = ScoreCache(data, penalty)
-    elif cache.data is not data:
-        raise ScoringError("cache is bound to a different dataset")
+    """BIC contribution of vertex v with the given parent set, scored
+    through the cache _bound_cache picks. A key missing from the cache is
+    scored by a fill of that one key."""
+    cache = _bound_cache(data, cache, penalty)
     key = (v, frozenset(parents))
     got = cache.memo.get(key)
     if got is None:
@@ -486,18 +523,17 @@ def _check_vertex_count(g: Graph, data: InterventionalDataset) -> None:
 def total_score(
     d: Graph,
     data: InterventionalDataset,
-    penalty: str = "total",
+    penalty: str | None = None,
     cache: ScoreCache | None = None,
 ) -> float:
     """Sum of local scores over all vertices of a fully directed acyclic
-    graph: the BIC of the DAG."""
+    graph: the BIC of the DAG, scored through the cache _bound_cache
+    picks."""
     _check_vertex_count(d, data)
     if d.num_lines:
         raise ScoringError("total_score requires a fully directed graph")
-    return sum(
-        local_score(v, d._pa[v], data, penalty=penalty, cache=cache)
-        for v in d.vertices
-    )
+    cache = _bound_cache(data, cache, penalty)
+    return sum(local_score(v, d._pa[v], data, cache=cache) for v in d.vertices)
 
 
 @dataclass

@@ -70,7 +70,7 @@ from .scoring import (
     UNFITTABLE,
     InterventionalDataset,
     ScoreCache,
-    ScoringError,
+    _bound_cache,
     _check_vertex_count,
     local_score,
     total_score,
@@ -101,12 +101,8 @@ class MoveCandidate:
     @cached_property
     def rank(self) -> tuple:
         """Sort key of the ranking, computed once: best delta first, then
-        key()."""
+        the deterministic tie-break key (kind, v, u, sorted C), rank[1:]."""
         return (-self.delta, int(self.kind), self.v, self.u, tuple(sorted(self.C)))
-
-    def key(self) -> tuple:
-        """Deterministic tie-break key (kind, v, u, sorted C)."""
-        return self.rank[1:]
 
 
 @dataclass
@@ -283,12 +279,12 @@ def move_delta(
     """Score change of the move (u, v, C) of the kind: with B = pa(v) | C,
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
-    and P = pa(u) for a turn-arrow. A graph on other than data.p vertices
-    raises ScoringError, and a u or v outside 1..p GraphError."""
+    and P = pa(u) for a turn-arrow. A graph on other than data.p vertices,
+    or a cache bound to other data, raises ScoringError, and a u or v
+    outside 1..p GraphError."""
     _check_vertex_count(g, data)
     _check_vertices(g, (u, v))
-    if cache is None:
-        cache = ScoreCache(data)
+    cache = _bound_cache(data, cache)
     return _delta(kind, _move_keys(kind, g, u, v, frozenset(C)), data, cache)
 
 
@@ -337,43 +333,6 @@ def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
                 f"no representative realizes turn_line ({u}, {v}, {sorted(C)})"
             )
     return replace_unprotected(_edit(h, move), fam)
-
-
-def apply_insert(
-    g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
-) -> Graph:
-    """Essential graph of the class obtained by adding u -> v to a
-    representative orienting C into v."""
-    return apply_move(g, MoveCandidate(MoveKind.INSERT, u, v, frozenset(C), 0.0), fam)
-
-
-def apply_delete(
-    g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
-) -> Graph:
-    """Essential graph of the class obtained by removing the edge between u
-    and v from a representative orienting C (and u, if u - v is a line)
-    into v."""
-    return apply_move(g, MoveCandidate(MoveKind.DELETE, u, v, frozenset(C), 0.0), fam)
-
-
-def apply_turn_line(
-    g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
-) -> Graph:
-    """Essential graph of the class obtained by orienting the line u - v as
-    u -> v in a representative orienting C into v."""
-    return apply_move(
-        g, MoveCandidate(MoveKind.TURN_LINE, u, v, frozenset(C), 0.0), fam
-    )
-
-
-def apply_turn_arrow(
-    g: Graph, u: int, v: int, C: Iterable[int], fam: TargetFamily
-) -> Graph:
-    """Essential graph of the class obtained by reversing the arrow v -> u
-    in a representative orienting C into v and nothing into u."""
-    return apply_move(
-        g, MoveCandidate(MoveKind.TURN_ARROW, u, v, frozenset(C), 0.0), fam
-    )
 
 
 # -- enumeration ------------------------------------------------------------
@@ -526,10 +485,7 @@ def best_move(
     if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
     _check_vertex_count(g, data)
-    if cache is None:
-        cache = ScoreCache(data)
-    elif cache.data is not data:
-        raise ScoringError("cache is bound to a different dataset")
+    cache = _bound_cache(data, cache)
     ranking = cache.rankings.get((phase, max_degree))
     if ranking is None:
         ranking = cache.rankings[phase, max_degree] = _Ranking(data.p)

@@ -3,7 +3,8 @@
 The graphs are the 7- and 5-vertex illustrations used throughout the module
 docstrings: a DAG, its essential graphs under several families, and the
 result of each move kind applied to them. Edge lists are spelled out in
-full; builders return fresh objects so tests may mutate their copies.
+full; builders return fresh objects so tests may mutate their copies. One
+helper reads a dataset's row sets.
 """
 
 from __future__ import annotations
@@ -112,3 +113,10 @@ def chain_dag(p: int, source: int) -> Dag:
     arrows = [(v + 1, v) for v in range(1, source)]
     arrows += [(v, v + 1) for v in range(source, p)]
     return Dag(p, arrows=arrows)
+
+
+def row_set(data, v: int):
+    """Indices of the rows whose target does not contain v, as the fits read
+    them: vertices with the same such rows share one array."""
+    rows, group_of = data._row_groups
+    return rows[group_of[v - 1]]

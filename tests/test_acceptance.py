@@ -21,13 +21,11 @@ from gieskit import (
     Dag,
     GiesOptions,
     Graph,
+    MoveCandidate,
     MoveKind,
     SimConfig,
     TargetFamily,
-    apply_delete,
-    apply_insert,
-    apply_turn_arrow,
-    apply_turn_line,
+    apply_move,
     count_non_essential,
     dp_exact,
     enumerate_representatives,
@@ -155,14 +153,19 @@ def test_criterion_03_worked_figures():
     e = essential_graph(cases.dag_7v(), cases.FAM_T4).graph
     if e != cases.eg_7v_t4():
         bad.append("essential graph")
-    if apply_insert(cases.eg_7v_t4(), 4, 2, {3}, cases.FAM_T4) != cases.eg_7v_after_insert():
-        bad.append("insert (4,2,{3})")
-    if apply_delete(cases.eg_7v_t4(), 2, 5, set(), cases.FAM_T4) != cases.eg_7v_after_delete():
-        bad.append("delete (2,5,{})")
-    if apply_turn_line(cases.eg_7v_t4(), 5, 2, {3}, cases.FAM_T4) != cases.eg_7v_after_turn_line():
-        bad.append("turn line (5,2,{3})")
-    if apply_turn_arrow(cases.eg_5v(), 1, 2, {3}, cases.FAM_T4) != cases.eg_5v_after_turn_arrow():
-        bad.append("turn arrow (1,2,{3})")
+    for kind, start, u, v, C, want, name in [
+        (MoveKind.INSERT, cases.eg_7v_t4(), 4, 2, {3}, cases.eg_7v_after_insert(),
+         "insert (4,2,{3})"),
+        (MoveKind.DELETE, cases.eg_7v_t4(), 2, 5, set(), cases.eg_7v_after_delete(),
+         "delete (2,5,{})"),
+        (MoveKind.TURN_LINE, cases.eg_7v_t4(), 5, 2, {3}, cases.eg_7v_after_turn_line(),
+         "turn line (5,2,{3})"),
+        (MoveKind.TURN_ARROW, cases.eg_5v(), 1, 2, {3}, cases.eg_5v_after_turn_arrow(),
+         "turn arrow (1,2,{3})"),
+    ]:
+        move = MoveCandidate(kind, u, v, frozenset(C), 0.0)
+        if apply_move(start, move, cases.FAM_T4) != want:
+            bad.append(name)
     criterion(3, not bad, bad or "essential graph and all four applied moves exact")
 
 

@@ -100,6 +100,21 @@ def test_membership_index_separates_pairs():
     assert idx[3] != idx.get(4)
 
 
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=5))
+def test_family_builds_its_unique_members_and_index_once(targets):
+    fam = TargetFamily(targets)
+    unique = tuple(dict.fromkeys(map(frozenset, targets)))
+    assert fam.unique == unique
+    fresh = {
+        v: frozenset(i for i, t in enumerate(unique) if v in t)
+        for v in set().union(*unique)
+    }
+    assert fam.membership_index() == fresh
+    assert fam.membership_index() is fam.membership_index()
+    with pytest.raises(TypeError):
+        fam.membership_index()[1] = frozenset()
+
+
 def test_target_family_serialization():
     fam = TargetFamily([(), (4,), (3, 5)])
     assert TargetFamily.from_json(fam.to_json()) == fam

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cases
 import oracles
 from gieskit import (
     Dag,
@@ -52,8 +53,8 @@ def test_dataset_basics():
     data = InterventionalDataset(X, [(), (2,), (), (1, 3)])
     assert data.n == 4 and data.p == 3
     assert data.targets == (frozenset(), {2}, frozenset(), {1, 3})
-    assert list(data.rows_excluding(2)) == [0, 2, 3]
-    assert list(data.rows_excluding(1)) == [0, 1, 2]
+    assert list(cases.row_set(data, 2)) == [0, 2, 3]
+    assert list(cases.row_set(data, 1)) == [0, 1, 2]
     obs = data.erase_targets()
     assert obs.targets == (frozenset(),) * 4
     assert np.array_equal(obs.X, data.X)
@@ -62,12 +63,12 @@ def test_dataset_basics():
 
 def test_erased_targets_share_the_samples_and_find_their_own_rows():
     data = simulate(SimConfig(p=6, s=0.4, k=3, m=1, n=300, seed=3)).data
-    assert min(data.rows_excluding(v).size for v in range(1, 7)) < data.n
+    assert min(cases.row_set(data, v).size for v in range(1, 7)) < data.n
     erased = data.erase_targets()
     assert np.shares_memory(erased.X, data.X)
     assert erased.targets == (frozenset(),) * data.n
     # the row sets of the targeted data are not carried over
-    assert all(erased.rows_excluding(v).size == data.n for v in range(1, 7))
+    assert all(cases.row_set(erased, v).size == data.n for v in range(1, 7))
     fresh = InterventionalDataset(data.X, [()] * data.n)
     for v in range(1, 7):
         assert local_score(v, [v % 6 + 1], erased) == local_score(v, [v % 6 + 1], fresh)
@@ -166,6 +167,12 @@ def test_csv_round_trip(tmp_path):
     assert back.targets == data.targets
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2,x3,target"
+    # past the reader's first two buffer sizes (1024 and 2048 rows)
+    big = InterventionalDataset(rng.normal(size=(2500, 2)), [(), (1,)] * 1250)
+    big.to_csv(path)
+    back = InterventionalDataset.read_csv(path)
+    assert back.X.tobytes() == big.X.tobytes()
+    assert back.targets == big.targets
 
 
 def test_rows_share_one_frozenset_per_distinct_target(tmp_path):
@@ -207,6 +214,30 @@ def test_read_csv_names_the_bad_line_and_column(tmp_path, body, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("cell", ["1_000", " 1.5", "0x10", "", "nan", "1e400", "\u0661"])
+def test_read_csv_parses_a_cell_as_float_does(tmp_path, cell):
+    # numpy parses the cells of a row assigned to a float64 row; float()
+    # names the bad cell
+    path = tmp_path / "d.csv"
+    path.write_text(f"x1,x2,target\n1.0,{cell},\n1.5,2.5,\n", encoding="utf-8")
+    row = np.empty(1)
+    try:
+        want = float(cell)
+    except ValueError:
+        with pytest.raises(ValueError):
+            row[:] = [cell]
+        with pytest.raises(ScoringError, match=f"^line 2, column x2: {cell!r} is not a number$"):
+            InterventionalDataset.read_csv(path)
+        return
+    row[:] = [cell]
+    assert row.tobytes() == np.float64(want).tobytes() or np.isnan(row[0]) and np.isnan(want)
+    if not np.isfinite(want):
+        with pytest.raises(NonFiniteData, match="^line 2, column x2: "):
+            InterventionalDataset.read_csv(path)
+        return
+    assert InterventionalDataset.read_csv(path).X[0, 1] == want
+
+
 # -- local scores --------------------------------------------------------------
 
 
@@ -222,7 +253,7 @@ def test_local_score_matches_least_squares_oracle(parents, v, penalty):
 def test_local_score_excludes_intervened_rows(data5):
     # scoring vertex v must ignore rows where v was intervened on
     v = sorted(data5.targets[-1])[0] if data5.targets[-1] else 1
-    rows = data5.rows_excluding(v)
+    rows = cases.row_set(data5, v)
     sub = InterventionalDataset(data5.X[rows], [data5.targets[i] for i in rows])
     a = local_score(v, set(), data5)
     # same rows scored as a smaller dataset, holding the penalty at log n
@@ -281,8 +312,29 @@ def test_a_key_outside_the_dataset_is_rejected_before_any_fit(v, parents, wrong)
     assert (cache.misses, cache.hits) == (1, 0)
 
 
+@pytest.mark.parametrize("bad", [0, 6, -1, 1.5, 2.0, True], ids=repr)
+def test_a_bad_vertex_id_raises_a_named_error(data5, bad):
+    # TargetFamily's rule: an integer that is not a bool, in 1..p; a fresh
+    # cache each time, because only keys missing from the memo are checked
+    for v, parents, who in ((bad, [], "vertex"), (1, [bad], "parent")):
+        with pytest.raises(ScoringError, match=f": {who} {bad!r} ") as exc:
+            local_score(v, parents, data5, cache=ScoreCache(data5))
+        assert type(exc.value) is ScoringError
+    with pytest.raises(ScoringError, match=f"^target vertex {bad!r} ") as exc:
+        InterventionalDataset(data5.X, [[bad]] * data5.n)
+    assert type(exc.value) is ScoringError
+
+
+def test_a_memo_hit_is_not_checked(data5):
+    # True == 1, so (True, P) is the memoized key (1, P)
+    cache = ScoreCache(data5)
+    want = local_score(1, [2], data5, cache=cache)
+    assert local_score(True, [2], data5, cache=cache) == want
+    assert (cache.misses, cache.hits) == (1, 1)
+
+
 def test_score_cache_fixes_the_penalty(data5):
-    # a cache bound to per-node overrides the call-site default
+    # without a penalty argument, a cache bound to per-node scores per-node
     cache = ScoreCache(data5, penalty="per-node")
     got = local_score(1, {2}, data5, cache=cache)
     assert got == pytest.approx(local_score(1, {2}, data5, penalty="per-node"))
@@ -293,10 +345,22 @@ def test_unknown_penalty_rejected(data5):
         local_score(1, set(), data5, penalty="aic")
     with pytest.raises(ScoringError, match="unknown penalty mode 'aic'"):
         ScoreCache(data5, penalty="aic")
-    # a cache fixes the mode, so the argument is not read
+    # a penalty given with a cache must be the cache's
+    disagrees = "penalty {!r} disagrees with the cache's penalty {!r}"
     cache = ScoreCache(data5)
-    assert local_score(1, set(), data5, penalty="aic", cache=cache) == local_score(
-        1, set(), data5
+    with pytest.raises(ScoringError, match=disagrees.format("aic", "total")):
+        local_score(1, set(), data5, penalty="aic", cache=cache)
+    with pytest.raises(ScoringError, match=disagrees.format("aic", "total")):
+        total_score(Dag(5), data5, penalty="aic", cache=cache)
+    per_node = ScoreCache(data5, "per-node")
+    with pytest.raises(ScoringError, match=disagrees.format("total", "per-node")):
+        local_score(1, set(), data5, penalty="total", cache=per_node)
+    with pytest.raises(ScoringError, match=disagrees.format("total", "per-node")):
+        total_score(Dag(5), data5, penalty="total", cache=per_node)
+    assert (cache.misses, per_node.misses) == (0, 0)
+    # an agreeing penalty is the cache's own
+    assert local_score(1, set(), data5, penalty="per-node", cache=per_node) == (
+        local_score(1, set(), data5, penalty="per-node")
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,51 @@ def test_script_rejects_an_empty_grid(tmp_path, script, flag):
     assert proc.returncode == 2
     assert f"error: {flag} must be at least 1" in proc.stderr
     assert not out.exists()
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_alternates_the_one_off_timings():
+    bench_record = _bench_record()
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    calls = []
+
+    def run(tree):
+        calls.append(tree.name)
+        # the host speeds up as the recording goes on
+        return {"12": 10.0 - len(calls), "13": float(len(calls))}
+
+    out = bench_record.alternate(run, sides, lambda r: r)
+    assert calls == ["parent", "change", "change", "parent"]
+    assert [r["side"] for r in out["runs"]] == calls
+    assert [r["result"]["12"] for r in out["runs"]] == [9.0, 8.0, 7.0, 6.0]
+    assert out["best_s"] == {
+        "parent": {"12": 6.0, "13": 1.0},
+        "change": {"12": 7.0, "13": 2.0},
+    }
+
+
+def test_bench_record_counts_a_tie_for_neither_side():
+    bench_record = _bench_record()
+
+    def runs(parent, change):
+        return [
+            {"side": side, "result": {"metrics": {"fit_s": {"value": x}}}}
+            for pair in zip(parent, change)
+            for side, x in zip(("parent", "change"), pair)
+        ]
+
+    metrics = [{"name": "fit_s", "better": "lower"}]
+    got = bench_record.summarize(runs([1.0, 2.0, 3.0], [0.5, 2.0, 3.5]), metrics)
+    assert got["fit_s"]["change_wins"] == 1
+    assert got["fit_s"]["pairs"] == 3
+    # for a metric where higher is better, the same values make the other
+    # pair the win; the tie still counts for neither side
+    metrics = [{"name": "fit_s", "better": "higher"}]
+    got = bench_record.summarize(runs([1.0, 2.0, 3.0], [0.5, 2.0, 3.5]), metrics)
+    assert got["fit_s"]["change_wins"] == 1

@@ -31,11 +31,7 @@ from gieskit import (
     SimConfig,
     TargetFamily,
     VerticesAdjacent,
-    apply_delete,
-    apply_insert,
     apply_move,
-    apply_turn_arrow,
-    apply_turn_line,
     best_move,
     essential_graph,
     gds,
@@ -78,10 +74,10 @@ def test_move_kind_tie_break_order():
 
 def test_move_candidate_key():
     m = MoveCandidate(MoveKind.DELETE, u=5, v=2, C=frozenset({3, 1}), delta=0.5)
-    assert m.key() == (1, 2, 5, (1, 3))
+    assert m.rank[1:] == (1, 2, 5, (1, 3))
     # ranking is by delta first, key second
     better = MoveCandidate(MoveKind.TURN_ARROW, 9, 9, frozenset(), 0.6)
-    ranked = sorted([m, better], key=lambda c: (-c.delta, c.key()))
+    ranked = sorted([m, better], key=lambda c: c.rank)
     assert ranked[0] is better
 
 
@@ -141,20 +137,24 @@ def test_valid_turn_arrow_fixture():
 # -- application fixtures --------------------------------------------------------
 
 
+def _apply(kind, g, u, v, C, fam):
+    return apply_move(g, MoveCandidate(kind, u, v, frozenset(C), 0.0), fam)
+
+
 def test_apply_insert_fixture():
-    got = apply_insert(cases.eg_7v_t4(), 4, 2, {3}, cases.FAM_T4)
+    got = _apply(MoveKind.INSERT, cases.eg_7v_t4(), 4, 2, {3}, cases.FAM_T4)
     assert got == cases.eg_7v_after_insert()
     assert is_essential_graph(got, cases.FAM_T4).ok
 
 
 def test_apply_delete_fixture():
-    got = apply_delete(cases.eg_7v_t4(), 2, 5, frozenset(), cases.FAM_T4)
+    got = _apply(MoveKind.DELETE, cases.eg_7v_t4(), 2, 5, frozenset(), cases.FAM_T4)
     assert got == cases.eg_7v_after_delete()
     assert is_essential_graph(got, cases.FAM_T4).ok
 
 
 def test_apply_turn_line_fixture():
-    got = apply_turn_line(cases.eg_7v_t4(), 5, 2, {3}, cases.FAM_T4)
+    got = _apply(MoveKind.TURN_LINE, cases.eg_7v_t4(), 5, 2, {3}, cases.FAM_T4)
     assert got == cases.eg_7v_after_turn_line()
     assert is_essential_graph(got, cases.FAM_T4).ok
 
@@ -162,7 +162,7 @@ def test_apply_turn_line_fixture():
 def test_apply_turn_arrow_fixture():
     # under {(), (4,)} the result is fully directed; the observational
     # family would leave 4 - 1 unoriented
-    got = apply_turn_arrow(cases.eg_5v(), 1, 2, {3}, cases.FAM_T4)
+    got = _apply(MoveKind.TURN_ARROW, cases.eg_5v(), 1, 2, {3}, cases.FAM_T4)
     assert got == cases.eg_5v_after_turn_arrow()
     assert is_essential_graph(got, cases.FAM_T4).ok
 
@@ -170,11 +170,11 @@ def test_apply_turn_arrow_fixture():
 def test_apply_rejects_invalid_moves():
     e = cases.eg_7v_t4()
     with pytest.raises(InvalidMove):
-        apply_insert(e, 4, 2, frozenset(), cases.FAM_T4)
+        _apply(MoveKind.INSERT, e, 4, 2, frozenset(), cases.FAM_T4)
     with pytest.raises(InvalidMove):
-        apply_turn_line(e, 5, 2, {1}, cases.FAM_T4)
+        _apply(MoveKind.TURN_LINE, e, 5, 2, {1}, cases.FAM_T4)
     with pytest.raises(NotAnEdge):
-        apply_delete(e, 4, 2, frozenset(), cases.FAM_T4)
+        _apply(MoveKind.DELETE, e, 4, 2, frozenset(), cases.FAM_T4)
 
 
 def test_apply_move_dispatch():
@@ -213,12 +213,7 @@ def _all_valid_moves(e):
 
 
 DELTAS = {kind: partial(move_delta, kind) for kind in MoveKind}
-APPLIES = {
-    MoveKind.INSERT: apply_insert,
-    MoveKind.DELETE: apply_delete,
-    MoveKind.TURN_LINE: apply_turn_line,
-    MoveKind.TURN_ARROW: apply_turn_arrow,
-}
+APPLIES = {kind: partial(_apply, kind) for kind in MoveKind}
 
 
 @settings(max_examples=25)
@@ -467,7 +462,7 @@ def test_move_delta_refuses_a_cache_bound_to_other_data():
 
 
 def _key(c):
-    return (c.key(), c.delta)
+    return (c.rank[1:], c.delta)
 
 
 @settings(max_examples=100, deadline=None)

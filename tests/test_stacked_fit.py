@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cases
 import gieskit.scoring
 from gieskit import (
     Dag,
@@ -35,7 +36,7 @@ from gieskit.scoring import RANK_RTOL, STACK_BUDGET, VARIANCE_FLOOR, _fit
 # The per-key fit that the stacked routine replaced, frozen as its reference.
 @np.errstate(all="ignore")
 def _per_key_fit(data, v, parents):
-    rows = data.rows_excluding(v)
+    rows = cases.row_set(data, v)
     n_v = rows.size
     k = len(parents)
     if n_v <= k + 1:
@@ -155,7 +156,7 @@ def test_the_data_has_every_outcome():
         "fit", "InsufficientSamples", "SingularDesign", "DegenerateFit",
         "singular (6, 7)", "fit (5, 8)",
     }
-    assert len({DATA.rows_excluding(v).size for v in range(1, P + 1)}) == 3
+    assert len({cases.row_set(DATA, v).size for v in range(1, P + 1)}) == 3
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
@@ -187,6 +188,18 @@ def test_mixed_keys_equal_the_per_key_fits(seed):
 
 def test_a_stack_of_rank_deficient_members_only():
     _assert_same([(12, (6, 7)), (11, (6, 7)), (10, (7, 6))])
+
+
+def test_a_zero_diagonal_under_a_subnormal_one_is_singular():
+    # R's diagonal is (5e-324, 0): RANK_RTOL * 5e-324 underflows to 0, which
+    # a non-strict test let through to a solve that raised LinAlgError
+    X = np.zeros((6, 3))
+    X[5, :2] = 5e-324, 0.5
+    X[:, 2] = np.arange(1.0, 7.0)
+    data = InterventionalDataset(X, [()] * 6)
+    (fit,) = _fit(data, [(3, (1, 2))])
+    assert isinstance(fit, SingularDesign)
+    assert "rank deficient" in str(fit)
 
 
 def test_a_design_shared_by_several_vertices_equals_the_per_key_fits():
@@ -270,9 +283,9 @@ def test_each_distinct_design_is_factored_once_per_call(seed):
     keys += [(12, (6, 7)), (11, (6, 7)), (12, (5, 8)), (3, (1, 2)), (3, (4,)), keys[0]]
     keys += [(v, (1, 2)) for v in range(4, P + 1)]
     designs = {
-        (id(DATA.rows_excluding(v)), parents)
+        (id(cases.row_set(DATA, v)), parents)
         for v, parents in keys
-        if parents and DATA.rows_excluding(v).size > len(parents) + 1
+        if parents and cases.row_set(DATA, v).size > len(parents) + 1
     }
     factored = [design for _, _, design in _factored(keys)]
     assert len(factored) == len(set(factored)) == len(designs)
@@ -323,12 +336,12 @@ def test_fits_over_any_targets_equal_the_per_key_fits(batch):
     _assert_same(keys, data)
     for v in range(1, data.p + 1):
         want = [i for i, t in enumerate(data.targets) if v not in t]
-        assert data.rows_excluding(v).tolist() == want
+        assert cases.row_set(data, v).tolist() == want
         for w in range(1, v):
-            same = data.rows_excluding(v).tolist() == data.rows_excluding(w).tolist()
-            assert (data.rows_excluding(v) is data.rows_excluding(w)) == same, (v, w)
-    assert data.rows_excluding(x).size == data.rows_excluding(y).size
-    assert data.rows_excluding(x) is not data.rows_excluding(y)
+            same = cases.row_set(data, v).tolist() == cases.row_set(data, w).tolist()
+            assert (cases.row_set(data, v) is cases.row_set(data, w)) == same, (v, w)
+    assert cases.row_set(data, x).size == cases.row_set(data, y).size
+    assert cases.row_set(data, x) is not cases.row_set(data, y)
 
 
 def _arrays_held(obj) -> list[np.ndarray]:
@@ -373,7 +386,7 @@ def test_a_fit_keeps_one_column_major_copy_of_x():
     assert np.shares_memory(matrices[0], data.X)
     assert matrices[0].flags.c_contiguous
     assert np.array_equal(matrices[0], data.X.T)
-    rows = {id(r): r for r in map(data.rows_excluding, range(1, p + 1))}
+    rows = {id(r): r for r in (cases.row_set(data, v) for v in range(1, p + 1))}
     assert len(rows) == 9
     # the row sets, plus a little bookkeeping; a kept copy of X, or of a
     # short row set (19/20 of X), would add more than a quarter of X
