@@ -10,7 +10,8 @@ For every workload of BENCHMARK.json and every seed, runs
 `run_seconds`, the parent first in even-numbered pairs and the change first
 in odd ones; then one `--trace 1` run per checkout at --trace-seed. Each
 run's result line (the last line it prints) is stored with its workload,
-seed and side. Two one-off timings follow, each run twice per checkout in
+seed and side, and with the user and system CPU seconds and minor page
+faults of its process. Two one-off timings follow, each run twice per checkout in
 the order parent, change, change, parent, so that a drift of the host over
 the recording falls on both sides alike; every run is stored, and per side
 the best time of each p over its two runs:
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shlex
 import statistics
 import subprocess
@@ -44,12 +46,21 @@ CRITERION_11 = re.compile(
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench/run.py run: its result line, and its process's user and
+    system CPU seconds and minor page faults."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {
+        "result": json.loads(proc.stdout.splitlines()[-1]),
+        "user_s": after.ru_utime - before.ru_utime,
+        "sys_s": after.ru_stime - before.ru_stime,
+        "minflt": after.ru_minflt - before.ru_minflt,
+    }
 
 
 def criterion_11(tree: Path) -> dict:
@@ -154,12 +165,13 @@ def main() -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = bench(sides[side], w, seed, seconds, 0)
-                runs.append({"side": side, "seed": seed, "result": result})
-                print(w, seed, side, json.dumps(result["metrics"]["fit_s"]), flush=True)
+                run = bench(sides[side], w, seed, seconds, 0)
+                runs.append({"side": side, "seed": seed, **run})
+                print(w, seed, side, json.dumps(run["result"]["metrics"]["fit_s"]),
+                      run["minflt"], flush=True)
         traced = [
             {"side": side, "seed": args.trace_seed,
-             "result": bench(tree, w, args.trace_seed, seconds, 1)}
+             **bench(tree, w, args.trace_seed, seconds, 1)}
             for side, tree in sides.items()
         ]
         record["workloads"][w] = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from itertools import combinations
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -51,6 +52,14 @@ class VerticesAdjacent(GraphError):
 VertexOrdering = tuple[int, ...]
 
 
+def _vertex_error(v: object, p: int) -> str | None:
+    """Why v is not a vertex id of 1..p by TargetFamily's rule (an Integral
+    that is not a bool), or None if it is one."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        return f"{v!r} is not an integer vertex id"
+    return None if 1 <= v <= p else f"{v} outside 1..{p}"
+
+
 class Graph:
     """Partially directed graph with O(1) edge queries.
 
@@ -79,7 +88,7 @@ class Graph:
         self._ch: list[set[int]] = [set() for _ in range(p + 1)]
         self._nb: list[set[int]] = [set() for _ in range(p + 1)]
         for a, b in arrows:
-            self._check_pair(a, b)
+            a, b = self._check_pair(a, b)
             if a in self._pa[b] or b in self._nb[a]:
                 continue
             if b in self._pa[a]:
@@ -91,15 +100,22 @@ class Graph:
                 self._pa[b].add(a)
                 self._ch[a].add(b)
         for a, b in lines:
-            self._check_pair(a, b)
+            a, b = self._check_pair(a, b)
             self._drop_edge(a, b)
             self._add_line(a, b)
 
-    def _check_pair(self, a: int, b: int) -> None:
-        if not (1 <= a <= self.p and 1 <= b <= self.p):
-            raise GraphError(f"edge ({a}, {b}) outside vertex range 1..{self.p}")
+    def _check_pair(self, a: int, b: int) -> tuple[int, int]:
+        """The edge (a, b) as a pair of ints; GraphError if an end is not a
+        vertex id by _vertex_error's rule, or for a self-loop."""
+        p = self.p
+        if not (type(a) is int and type(b) is int and 0 < a <= p and 0 < b <= p):
+            why = _vertex_error(a, p) or _vertex_error(b, p)
+            if why:
+                raise GraphError(f"edge ({a!r}, {b!r}): vertex {why}")
+            a, b = int(a), int(b)  # e.g. numpy integers, which JSON cannot write
         if a == b:
             raise GraphError(f"self-loop at {a}")
+        return a, b
 
     # -- private mutators; public Graph values are never mutated in place --
 
@@ -400,12 +416,16 @@ def topological_order(g: Graph) -> VertexOrdering:
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
-    """Raise GraphError for the first of the vertices outside 1..p. The O(1)
-    edge queries of Graph do not check, so functions taking vertex ids
-    from a caller check them here."""
+    """Raise GraphError for the first of the vertices that is not a vertex
+    id of g by _vertex_error's rule. The O(1) edge queries of Graph do not
+    check, so functions taking vertex ids from a caller check them here."""
+    p = g.p
     for v in vertices:
-        if not 1 <= v <= g.p:
-            raise GraphError(f"vertex {v} outside 1..{g.p}")
+        # ints in 1..p pass at once; any other id meets the full rule
+        if type(v) is not int or not 0 < v <= p:
+            why = _vertex_error(v, p)
+            if why:
+                raise GraphError(f"vertex {why}")
 
 
 def component_of(g: Graph, v: int) -> frozenset[int]:
@@ -444,6 +464,7 @@ def lexbfs(
     """
     vs = _check_restriction(g, vertices)
     start = list(start_order)
+    _check_vertices(g, start)
     if len(set(start)) != len(start):
         raise GraphError("start_order contains duplicates")
     for v in start:
@@ -483,10 +504,10 @@ def is_perfect_elimination(ordering: Sequence[int], g: Graph) -> bool:
     `ordering` must enumerate exactly the vertices it is checked on; edges
     of g between vertices outside `ordering` are ignored.
     """
+    _check_vertices(g, ordering)
     pos = {v: i for i, v in enumerate(ordering)}
     if len(pos) != len(ordering):
         raise GraphError("ordering contains duplicates")
-    _check_vertices(g, pos)
     for v in ordering:
         earlier = [w for w in g._nb[v] if pos.get(w, len(pos)) < pos[v]]
         for a, b in combinations(earlier, 2):
@@ -508,6 +529,7 @@ def orient_by(ordering: Sequence[int], g: Graph) -> Dag:
     later endpoint of `ordering` (a permutation of 1..p)."""
     if not g.is_undirected():
         raise NotUndirected("orient_by requires an undirected graph")
+    _check_vertices(g, ordering)
     if sorted(ordering) != list(g.vertices):
         raise GraphError("ordering must be a permutation of 1..p")
     h = g.copy()
@@ -540,10 +562,10 @@ def cliques_in_neighborhood(
 ) -> list[frozenset[int]]:
     """All subsets of `within` (including the empty set) that are cliques of
     the line subgraph of g, in increasing size then lexicographic order. A
-    vertex outside 1..p raises GraphError."""
-    base = sorted(within)
-    if base:  # the sorted ends bound every member
-        _check_vertices(g, (base[0], base[-1]))
+    member that is not a vertex id of g raises GraphError."""
+    base = list(within)
+    _check_vertices(g, base)
+    base.sort()
     levels: list[list[tuple[int, ...]]] = [[()]]
     while levels[-1]:
         prev = levels[-1]

@@ -14,18 +14,18 @@ Summed over vertices this is the maximized log-likelihood minus
 (p + #edges)/2 * log(n): the BIC. The score is decomposable and assigns
 equal values to equivalent DAGs, which is what the greedy search exploits.
 
-Scores are computed in batches: `ScoreCache.fill` fits every missing
-(v, P) key of a batch at once, stacking the designs of one row set and
-parent-set size into one QR. A design is a (row set, P) pair, and every
-vertex of the row set that regresses on P reads the same one, so a batch
-factors each distinct design once and each of its keys reuses that
-factorization for its own response column. A dataset stores its samples
-once, from construction, as the column-major matrix the fits read (`X` is
-a read-only view of it), and a batch holds at most one transient copy of
-the rows of one row set short of all rows, while it fits that set. numpy
-makes the same LAPACK/BLAS call per stack member as for a single matrix,
-so each score is bitwise the score of its own fit, whatever batch it was
-computed in.
+Scores are computed in batches: `ScoreCache.fill` fits every missing (v, P)
+key of a batch at once. A design is a (row set, P) pair, and every vertex
+of the row set that regresses on P reads the same one, so a batch factors
+each distinct design once and each of its keys reuses that factorization
+for its own response column. The designs of one row set and parent-set size
+are cut into chunks under `STACK_BUDGET`, and each chunk is one stacked QR.
+A dataset stores its samples once, from construction, as the column-major
+matrix the fits read (`X` is a read-only view of it), and a batch holds at
+most one transient copy of the rows of one row set short of all rows, while
+it fits that set. numpy makes the same LAPACK/BLAS call per stack member as
+for a single matrix, so each score is bitwise the score of its own fit,
+whatever batch it was computed in.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Dag, Graph
+from .graphs import Dag, Graph, _vertex_error
 from .interventions import Target, TargetFamily
 
 #: A fit whose residual variance falls below this floor raises DegenerateFit.
@@ -83,14 +82,6 @@ class FamilyMismatch(ScoringError):
 #: The errors of a parent set that cannot be fitted. Learners skip such a
 #: set; every other ScoringError stops them.
 UNFITTABLE = (InsufficientSamples, SingularDesign)
-
-
-def _vertex_error(v: object, p: int) -> str | None:
-    """Why v is not a vertex id of 1..p by TargetFamily's rule (an Integral
-    that is not a bool), or None if it is one."""
-    if isinstance(v, bool) or not isinstance(v, Integral):
-        return f"{v!r} is not an integer vertex id"
-    return None if 1 <= v <= p else f"{v} outside 1..{p}"
 
 
 class InterventionalDataset:
@@ -347,11 +338,10 @@ def _bad_key(v: object, pa: frozenset, p: int) -> str:
     return f"key (vertex {v}, parents {parents}): {why}"
 
 
-#: Element budget of one stacked fit: the designs of one parent-set size and
-#: key count on one row set are fitted in chunks of at most this many design
-#: entries (members x rows x parents, one member per key). A chunk holds
-#: whole designs, at least one, so a design with more keys than the budget
-#: is one chunk.
+#: Element budget of one stacked fit, in rows x (|P| + keys) per design:
+#: the designs of one row set and parent-set size are fitted in chunks of
+#: whole designs, at most this many entries of A and Y per chunk. A design
+#: over the budget is a chunk on its own.
 STACK_BUDGET = 32768
 
 Fit = tuple[np.ndarray, float, int]
@@ -370,14 +360,11 @@ def _fit(
 
     A design is one (row set, parent set): the keys of all vertices that
     regress on it share one factorization, so each call factors each
-    distinct design once. The designs of one row set, parent-set size and
-    key count are fitted together, by QR on a stack of designs gathered
-    from the dataset's column-major matrix (for a row set short of all
-    rows, from a copy of those rows taken once per call and dropped when
-    the set's keys are done), and each design's factors broadcast over its
-    keys. numpy's stacked qr, solve and matmul make the same LAPACK/BLAS
-    call per member, broadcast or not, as on one matrix, so each key's
-    result is bitwise the result of fitting it alone."""
+    distinct design once. The designs of one row set and parent-set size,
+    sorted by key count, are cut into chunks under STACK_BUDGET, and
+    _fit_stack fits each chunk from the dataset's column-major matrix (for
+    a row set short of all rows, from a copy of those rows taken once per
+    call and dropped when the set's keys are done)."""
     out: list[Fit | ScoringError | None] = [None] * len(keys)
     rows, group_of = data._row_groups
     # (row set, parent set): the keys of one design
@@ -392,84 +379,116 @@ def _fit(
             )
         else:
             designs.setdefault((g, parents), []).append(i)
-    # row set -> (parent-set size, keys per design) -> the designs of one stack
-    stacks: dict[int, dict[tuple[int, int], list[list[int]]]] = {}
+    # row set -> parent-set size -> its designs' key lists
+    sizes: dict[int, dict[int, list[list[int]]]] = {}
     for (g, parents), members in designs.items():
-        stacks.setdefault(g, {}).setdefault((len(parents), len(members)), []).append(members)
-    for g, shapes in stacks.items():
+        sizes.setdefault(g, {}).setdefault(len(parents), []).append(members)
+    for g, same_size in sizes.items():
         n_v = rows[g].size
         XT = data._columns if n_v == data.n else data._columns.take(rows[g], axis=1)
-        for (k, r), same in shapes.items():
-            step = max(1, STACK_BUDGET // (n_v * max(k, 1) * r))
-            for start in range(0, len(same), step):
-                chunk = same[start : start + step]
-                # key j of every design, for j = 0 .. r - 1
-                order = [i for row in zip(*chunk) for i in row]
-                fits = _fit_stack(XT, [keys[i] for i in order], len(chunk))
-                for i, fit in zip(order, fits):
-                    out[i] = fit
+        for k, same in same_size.items():
+            same.sort(key=len)
+            chunk: list[list[int]] = []
+            entries = 0
+            for members in same:
+                cost = n_v * (k + len(members))
+                if chunk and entries + cost > STACK_BUDGET:
+                    _fit_stack(XT, keys, chunk, out)
+                    chunk, entries = [], 0
+                chunk.append(members)
+                entries += cost
+            _fit_stack(XT, keys, chunk, out)
         del XT  # before the next set's copy is taken
     return out
 
 
 def _fit_stack(
-    XT: np.ndarray, keys: list[tuple[int, tuple[int, ...]]], d: int
-) -> list[Fit | ScoringError]:
-    """_fit of keys that share their rows and the parent-set size, given
-    key by key across d designs: key j * d + i is key j of design i, and
-    all keys of a design have its parent set. Row j - 1 of XT holds column
-    j of X over those rows, in C order. Each design is factored once and
-    its factors broadcast over its keys, so none is copied per key."""
+    XT: np.ndarray,
+    keys: Sequence[tuple[int, tuple[int, ...]]],
+    chunk: list[list[int]],
+    out: list,
+) -> None:
+    """Fit one chunk of _fit: the designs whose keys' indices (into keys)
+    `chunk` lists, all on the rows of XT and of one parent-set size, in
+    ascending key count; each fit goes to out at its key's index. Row j - 1
+    of XT holds column j of X over those rows, in C order.
+
+    One QR factors every design of the chunk. Each run of designs with
+    equally many keys is then solved on views of the factors, broadcast
+    over the run's keys, so no design is copied per key. Slicing the stack
+    along its first axis keeps the inner strides, and numpy's stacked qr,
+    solve and matmul make the same LAPACK/BLAS call per member, broadcast
+    or not, as on one matrix: each key's result is bitwise the result of
+    fitting it alone."""
     n_v = XT.shape[1]
-    k = len(keys[0][1])
-    # rows of XT are contiguous, so these gathers copy whole rows; the
-    # designs must be C-ordered, because a matmul on F-ordered members
-    # rounds differently
-    Y = XT[[v - 1 for v, _ in keys]].reshape(-1, d, n_v)
+    parents = [keys[members[0]][1] for members in chunk]
+    k = len(parents[0])
+    # key j of every design of a run, for j = 0 .. r - 1: the runs' keys in
+    # the order their response rows are gathered
+    runs, order = [], []
+    lo = 0
+    for hi in range(1, len(chunk) + 1):
+        if hi == len(chunk) or len(chunk[hi]) != len(chunk[lo]):
+            runs.append((lo, hi, len(chunk[lo])))
+            order += [i for row in zip(*chunk[lo:hi]) for i in row]
+            lo = hi
+    # rows of XT are contiguous, so this gather copies whole rows
+    Y = XT[[keys[i][0] - 1 for i in order]]
+    fitted: list[tuple[np.ndarray, float] | None] = []
     if k == 0:
-        full_rank = [True] * d
-        fitted = ((np.empty(0), float(y @ y)) for y in Y.reshape(-1, n_v))
+        fitted = [(np.empty(0), float(y @ y)) for y in Y]
     else:
-        cols = np.array([parents for _, parents in keys[:d]]) - 1
-        A = np.ascontiguousarray(XT[cols].transpose(0, 2, 1))
+        cols = np.array(parents) - 1
+        # filled one parent column at a time: the designs must be C-ordered,
+        # because a matmul on F-ordered members rounds differently
+        A = np.empty((len(chunk), n_v, k))
+        for j in range(k):
+            A[:, :, j] = XT[cols[:, j]]
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         # strict, so a zero diagonal is singular even when RANK_RTOL times a
         # subnormal maximum underflows to zero
         full_rank = diag.min(axis=1) > RANK_RTOL * diag.max(axis=1)
-        # a rank-deficient member would fail solve for the whole stack
-        if not full_rank.all():
-            Q, R, A, Y = Q[full_rank], R[full_rank], A[full_rank], Y[:, full_rank]
-        Yc = Y[..., None]
-        coefs = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Yc)
-        resid = Yc - A @ coefs
-        rss = (resid.swapaxes(2, 3) @ resid)[..., 0, 0]
-        fitted = zip(coefs.reshape(-1, k), rss.ravel().tolist())
-    out: list[Fit | ScoringError] = []
-    for (v, parents), good in zip(keys, list(full_rank) * (len(keys) // d)):
-        if not good:
-            out.append(SingularDesign(
-                f"vertex {v}: parent columns {sorted(parents)} are rank deficient"
-            ))
+        start = 0
+        for lo, hi, r in runs:
+            d = hi - lo
+            Yr = Y[start : start + r * d].reshape(r, d, n_v)
+            start += r * d
+            good = full_rank[lo:hi]
+            Qr, Rr, Ar = Q[lo:hi], R[lo:hi], A[lo:hi]
+            # a rank-deficient member would fail solve for the whole run
+            if not good.all():
+                Qr, Rr, Ar, Yr = Qr[good], Rr[good], Ar[good], Yr[:, good]
+            Yc = Yr[..., None]
+            coefs = np.linalg.solve(Rr, Qr.transpose(0, 2, 1) @ Yc)
+            resid = Yc - Ar @ coefs
+            rss = (resid.swapaxes(2, 3) @ resid)[..., 0, 0]
+            results = iter(zip(coefs.reshape(-1, k), rss.ravel().tolist()))
+            fitted += [next(results) if ok else None for ok in list(good) * r]
+    for i, fit in zip(order, fitted):
+        v, pa = keys[i]
+        if fit is None:
+            out[i] = SingularDesign(
+                f"vertex {v}: parent columns {sorted(pa)} are rank deficient"
+            )
             continue
-        coef, rss_v = next(fitted)
+        coef, rss_v = fit
         # a non-finite coefficient leaves a non-finite residual, so one
         # check covers both
         if not math.isfinite(rss_v):
-            out.append(SingularDesign(
-                f"vertex {v}: parent columns {sorted(parents)} give a non-finite fit"
-            ))
+            out[i] = SingularDesign(
+                f"vertex {v}: parent columns {sorted(pa)} give a non-finite fit"
+            )
             continue
         sigma2 = rss_v / n_v
         if sigma2 < VARIANCE_FLOOR:
-            out.append(DegenerateFit(
-                f"vertex {v}, parents {sorted(parents)}: residual variance "
+            out[i] = DegenerateFit(
+                f"vertex {v}, parents {sorted(pa)}: residual variance "
                 f"{sigma2:.3g} below {VARIANCE_FLOOR:g}: a column is numerically "
                 "a linear function of others, or of negligible scale"
-            ))
+            )
             continue
-        out.append((coef, sigma2, n_v))
-    return out
+        out[i] = (coef, sigma2, n_v)
 
 
 def _bound_cache(

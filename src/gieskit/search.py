@@ -197,9 +197,11 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
     line-neighbours of v that the kind's rule (_ADMITS) admits. Insert also
     needs every partially directed path from v to u to pass through C, and
     turn-arrow every such path other than the arrow itself to pass through
-    C or nb(u). A u or v outside 1..p raises GraphError.
+    C or nb(u). A u, v or member of C that is not a vertex id of g raises
+    GraphError.
     """
-    _check_vertices(g, (u, v))
+    C = frozenset(C)
+    _check_vertices(g, (u, v, *C))
     if kind is MoveKind.INSERT:
         if u == v:
             raise GraphError("u and v must differ")
@@ -213,7 +215,6 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
             raise NotALine(f"no line {u} - {v}")
     elif not g.has_arrow(v, u):
         raise NotAnArrow(f"no arrow {v} -> {u}")
-    C = frozenset(C)
     nb_v = frozenset(g._nb[v])
     N = nb_v & g.adjacent(u)
     if not (C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)):
@@ -280,12 +281,13 @@ def move_delta(
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow. A graph on other than data.p vertices,
-    or a cache bound to other data, raises ScoringError, and a u or v
-    outside 1..p GraphError."""
+    or a cache bound to other data, raises ScoringError, and a u, v or
+    member of C that is not a vertex id of g GraphError."""
     _check_vertex_count(g, data)
-    _check_vertices(g, (u, v))
+    C = frozenset(C)
+    _check_vertices(g, (u, v, *C))
     cache = _bound_cache(data, cache)
-    return _delta(kind, _move_keys(kind, g, u, v, frozenset(C)), data, cache)
+    return _delta(kind, _move_keys(kind, g, u, v, C), data, cache)
 
 
 # -- application ------------------------------------------------------------

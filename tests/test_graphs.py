@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,20 +17,29 @@ from gieskit import (
     DirectedCycle,
     Graph,
     GraphError,
+    InterventionalDataset,
+    MoveCandidate,
+    MoveKind,
     NotUndirected,
+    TargetFamily,
+    apply_move,
     as_chain_graph,
     chain_components,
     cliques_in_neighborhood,
     component_of,
     has_path,
+    intervention_graph,
     is_acyclic,
     is_chordal,
     is_perfect_elimination,
     lexbfs,
+    move_delta,
     orient_by,
     skeleton,
+    strongly_protected,
     topological_order,
     v_structures,
+    valid_move,
 )
 
 # -- strategies --------------------------------------------------------------
@@ -361,22 +371,68 @@ def test_graph_algorithms_name_bad_input(call, error, message):
         call(Graph(4, lines=[(1, 2), (2, 3), (3, 4)]))
 
 
-@pytest.mark.parametrize("call", [
-    lambda g, x: component_of(g, x),
-    lambda g, x: has_path(g, x, 2),
-    lambda g, x: has_path(g, 2, x),
-    lambda g, x: cliques_in_neighborhood(g, [x]),
-    lambda g, x: cliques_in_neighborhood(g, [3, x, 2]),
-    lambda g, x: is_perfect_elimination([2, x], g),
+_D3 = Dag(3, arrows=[(1, 3), (2, 3)])
+_DATA3 = InterventionalDataset(np.random.default_rng(0).standard_normal((20, 3)), [()] * 20)
+_INSERT = MoveKind.INSERT
+
+
+# every exported function that takes vertex ids, on Graph(3, lines=[(2, 3)]);
+# True marks a constructor, whose message names the edge (x, 3)
+@pytest.mark.parametrize("call, edge", [
+    (lambda g, x: component_of(g, x), False),
+    (lambda g, x: has_path(g, x, 2), False),
+    (lambda g, x: has_path(g, 2, x), False),
+    (lambda g, x: cliques_in_neighborhood(g, [x]), False),
+    (lambda g, x: cliques_in_neighborhood(g, [3, x, 2]), False),
+    (lambda g, x: is_perfect_elimination([2, x], g), False),
+    (lambda g, x: Graph(3, arrows=[(x, 3)]), True),
+    (lambda g, x: Graph(3, lines=[(x, 3)]), True),
+    (lambda g, x: Dag(3, arrows=[(x, 3)]), True),
+    (lambda g, x: ChainGraph(3, lines=[(x, 3)]), True),
+    (lambda g, x: lexbfs([x], g), False),
+    (lambda g, x: lexbfs([], g, [x]), False),
+    (lambda g, x: is_chordal(g, [x]), False),
+    (lambda g, x: orient_by([1, x, 3], g), False),
+    (lambda g, x: intervention_graph(g, [x]), False),
+    (lambda g, x: strongly_protected(_D3, x, 3, TargetFamily([()])), False),
+    (lambda g, x: strongly_protected(_D3, 1, x, TargetFamily([()])), False),
+    (lambda g, x: valid_move(_INSERT, g, x, 1, ()), False),
+    (lambda g, x: valid_move(_INSERT, g, 1, x, ()), False),
+    (lambda g, x: valid_move(_INSERT, g, 1, 2, [x]), False),
+    (lambda g, x: move_delta(_INSERT, g, x, 1, (), _DATA3), False),
+    (lambda g, x: move_delta(_INSERT, g, 1, x, (), _DATA3), False),
+    (lambda g, x: move_delta(_INSERT, g, 1, 2, [x], _DATA3), False),
+    (lambda g, x: apply_move(g, MoveCandidate(_INSERT, 1, x, frozenset(), 1.0),
+                             TargetFamily([()])), False),
+    (lambda g, x: apply_move(g, MoveCandidate(_INSERT, 1, 2, frozenset({x}), 1.0),
+                             TargetFamily([()])), False),
 ], ids=["component_of", "has_path-from", "has_path-to", "cliques-alone",
-        "cliques-among-others", "perfect-elimination"])
-@pytest.mark.parametrize("x", [-1, 0, 4])
-def test_a_vertex_outside_the_graph_is_refused(call, x):
-    # -1 used to index vertex 3 and 4 to raise IndexError; the clique and
-    # elimination checks answered quietly, cliques_in_neighborhood(g, [4])
-    # with [frozenset(), frozenset({4})]
-    with pytest.raises(GraphError, match=f"^vertex {x} outside 1..3$"):
+        "cliques-among-others", "perfect-elimination", "Graph-arrows", "Graph-lines",
+        "Dag", "ChainGraph", "lexbfs-start", "lexbfs-vertices", "is_chordal",
+        "orient_by", "intervention_graph", "strongly_protected-tail",
+        "strongly_protected-head", "valid_move-u", "valid_move-v", "valid_move-C",
+        "move_delta-u", "move_delta-v", "move_delta-C", "apply_move-v", "apply_move-C"])
+@pytest.mark.parametrize("x", [-1, 0, 4, 1.5, 2.0, True])
+def test_a_vertex_outside_the_graph_is_refused(call, edge, x):
+    # TargetFamily's rule: an Integral that is not a bool, in 1..p. -1 used
+    # to index vertex 3 and 4 to raise IndexError; the clique and elimination
+    # checks answered quietly, cliques_in_neighborhood(g, [4]) with
+    # [frozenset(), frozenset({4})]; 1.5 and 2.0 raised a bare TypeError or
+    # passed as 2, and True passed as vertex 1
+    if isinstance(x, float) or x is True:
+        why = f"{x!r} is not an integer vertex id"
+    else:
+        why = f"{x} outside 1..3"
+    message = f"edge ({x!r}, 3): vertex {why}" if edge else f"vertex {why}"
+    with pytest.raises(GraphError) as exc:
         call(Graph(3, lines=[(2, 3)]), x)
+    assert str(exc.value) == message
+
+
+def test_a_graph_stores_integral_ids_as_ints():
+    g = Graph(3, arrows=[(np.int64(1), 2)], lines=[(np.int32(2), 3)])
+    assert [type(a) for e in g.arrows + g.lines for a in e] == [int] * 4
+    assert Graph.from_json(g.to_json()) == g
 
 
 def test_is_perfect_elimination_fixture():

@@ -95,3 +95,25 @@ def test_bench_record_counts_a_tie_for_neither_side():
     metrics = [{"name": "fit_s", "better": "higher"}]
     got = bench_record.summarize(runs([1.0, 2.0, 3.0], [0.5, 2.0, 3.5]), metrics)
     assert got["fit_s"]["change_wins"] == 1
+
+
+def test_bench_record_keeps_each_runs_cpu_time_and_page_faults(tmp_path):
+    # a stand-in run.py that touches 8 MB of fresh pages: about 2,000
+    # minor faults in its own process, none of which is the recorder's
+    bench_record = _bench_record()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "block = bytearray(8 << 20)\n"
+        "block[::4096] = b'x' * len(block[::4096])\n"
+        "print('header')\n"
+        "print(json.dumps({'args': sys.argv[1:]}))\n"
+    )
+    run = bench_record.bench(tmp_path, "gies-sparse-p40", 3, 0.5, 0)
+    assert run["result"] == {"args": [
+        "--workload", "gies-sparse-p40", "--seed", "3", "--seconds", "0.5", "--trace", "0",
+    ]}
+    assert set(run) == {"result", "user_s", "sys_s", "minflt"}
+    assert run["user_s"] >= 0 and run["sys_s"] >= 0
+    assert run["user_s"] + run["sys_s"] > 0
+    assert 1000 < run["minflt"] < 100_000

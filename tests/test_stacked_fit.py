@@ -169,7 +169,8 @@ def test_a_stack_equals_the_per_key_fits(m, k):
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_a_stack_spanning_two_chunks_equals_the_per_key_fits(k):
-    per_chunk = STACK_BUDGET // (DATA.n * k)
+    # a design of one key costs n * (k + 1) entries
+    per_chunk = STACK_BUDGET // (DATA.n * (k + 1))
     rng = np.random.default_rng(k)
     keys = _keys(rng, per_chunk + 2, k, vertices=range(4, P + 1))
     assert len(keys) > max(1, per_chunk)  # two chunks
@@ -227,32 +228,135 @@ def test_a_shared_rank_deficient_design_equals_the_per_key_fits():
     _assert_same([(12, (6, 7)), (12, (5, 8)), (11, (6, 7)), (10, (1, 4)), (11, (5, 8))])
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_shared_designs_spanning_chunks_stay_whole(k, monkeypatch):
-    # every design of k parents among 1..12 on the vertices 4..12 outside
-    # it: several chunks, each of whole designs with equally many keys, all
-    # of one parent set each, and of at most the budget
-    stacks = []
-    fit_stack = gieskit.scoring._fit_stack
-    monkeypatch.setattr(
-        gieskit.scoring, "_fit_stack",
-        lambda XT, keys, d: stacks.append((keys, d)) or fit_stack(XT, keys, d),
-    )
-    keys = [
+def _every_design(k):
+    """Every design of k parents among 1..12, with a key for each of the
+    vertices 4..12 (which share all 300 rows) outside it: 9 - |P & 4..12|
+    keys per design."""
+    return [
         (v, parents)
         for parents in itertools.combinations(range(1, P + 1), k)
         for v in range(4, P + 1) if v not in parents
     ]
+
+
+def _chunks_of(keys, monkeypatch) -> list[list[list[tuple[int, tuple[int, ...]]]]]:
+    """The chunks _fit passes to _fit_stack for keys: per chunk, the keys
+    of each of its designs."""
+    chunks = []
+    fit_stack = gieskit.scoring._fit_stack
+
+    def recorded(XT, keys, chunk, out):
+        chunks.append([[keys[i] for i in members] for members in chunk])
+        return fit_stack(XT, keys, chunk, out)
+
+    monkeypatch.setattr(gieskit.scoring, "_fit_stack", recorded)
+    _fit(DATA, keys)
+    return chunks
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_shared_designs_spanning_chunks_stay_whole(k, monkeypatch):
+    # every design of k parents on the vertices 4..12 outside it, with 6 to
+    # 9 keys each: several chunks, each of whole designs of one row set and
+    # parent-set size, sorted by key count; a chunk stays within the budget
+    # (n * (|P| + keys) entries per design) unless it is one design, and
+    # ends only where the next design would overflow it; every key is
+    # fitted exactly once
+    keys = _every_design(k)
     _assert_same(keys)
-    assert len(stacks) > 1
-    assert sorted(key for stack, _ in stacks for key in stack) == sorted(keys)
-    chunk_of = {}
-    for n, (stack, d) in enumerate(stacks):
-        assert len(stack) % d == 0
-        assert len(stack) <= STACK_BUDGET // (DATA.n * k)
-        for i in range(d):
-            assert {parents for _, parents in stack[i::d]} == {stack[i][1]}
-            assert chunk_of.setdefault(stack[i][1], n) == n
+    chunks = _chunks_of(keys, monkeypatch)
+    assert len(chunks) > 1
+    designs = [design for chunk in chunks for design in chunk]
+    assert sorted(key for design in designs for key in design) == sorted(keys)
+    for design in designs:
+        assert len({parents for _, parents in design}) == 1
+    assert len({design[0][1] for design in designs}) == len(designs)
+    counts = [len(design) for design in designs]
+    assert counts == sorted(counts) and len(set(counts)) > 1
+    cost = [[DATA.n * (k + len(design)) for design in chunk] for chunk in chunks]
+    for this, after in zip(cost, cost[1:] + [None]):
+        assert sum(this) <= STACK_BUDGET or len(this) == 1
+        if after:
+            assert sum(this) + after[0] > STACK_BUDGET
+
+
+def test_one_qr_per_chunk(monkeypatch):
+    # the chunks of every design of 2 parents, beside designs of other
+    # sizes and row sets: one np.linalg.qr per chunk with parents, none for
+    # the empty parent set
+    keys = _every_design(2) + [(1, (4, 5)), (2, ()), (10, ()), (11, (1, 2, 3))]
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw)
+    )
+    chunks = _chunks_of(keys, monkeypatch)
+    factored = [chunk for chunk in chunks if chunk[0][0][1]]
+    assert len(chunks) - len(factored) == 2  # (2, ()) and (10, ()): two row sets
+    assert len(calls) == len(factored) > 3
+    assert [shape[0] for shape in calls] == [len(chunk) for chunk in factored]
+
+
+@st.composite
+def _chunked_batches(draw):
+    """A stack budget and a shuffled batch of keys on DATA whose designs of
+    k parents on all 300 rows form three runs of key counts a < b < c:
+    run a holds one rank-deficient design (parents 6 and 7, with
+    x7 = 2 x6) among full-rank ones, every design of run b is rank
+    deficient, and run c holds full-rank designs only. The budget takes
+    run a and the first design of run b into one chunk, and run c is too
+    large for one chunk. Keys of other sizes and row sets ride along."""
+    k = draw(st.integers(3, 4))
+    a, b, c = sorted(draw(st.lists(st.integers(1, 9 - k), min_size=3, max_size=3,
+                                   unique=True)))
+    m_a, m_b = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    m_c = m_a + 3 + draw(st.integers(0, 2))
+    sets = list(itertools.combinations(range(1, P + 1), k))
+    singular = [s for s in sets if {6, 7} <= set(s)]
+    full = [s for s in sets if not {6, 7} <= set(s)]
+    deficient = draw(st.lists(st.sampled_from(singular), min_size=m_b + 1,
+                              max_size=m_b + 1, unique=True))
+    regular = draw(st.lists(st.sampled_from(full), min_size=m_a - 1 + m_c,
+                            max_size=m_a - 1 + m_c, unique=True))
+    runs = [(a, regular[: m_a - 1] + deficient[:1]), (b, deficient[1:]),
+            (c, regular[m_a - 1 :])]
+    keys = []
+    for r, parent_sets in runs:
+        for parents in parent_sets:
+            others = [v for v in range(4, P + 1) if v not in parents]
+            keys += [(v, parents) for v in draw(st.permutations(others))[:r]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # keys of k parents on vertices 1..3 fall on other row sets
+    keys += [key for size in (0, 1) for key in _keys(rng, draw(st.integers(0, 4)), size)]
+    keys += _keys(rng, draw(st.integers(0, 4)), k, vertices=(1, 2, 3))
+    keys = draw(st.permutations(keys))
+    # every design costs at least n * (k + 1) > n entries, so no further
+    # design fits in the slack
+    budget = DATA.n * (m_a * (k + a) + k + b) + draw(st.integers(0, DATA.n - 1))
+    return budget, keys, k, runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chunked_batches())
+def test_chunks_of_mixed_key_counts_equal_the_per_key_fits(batch):
+    budget, keys, k, runs = batch
+    (a, run_a), (b, run_b), (c, run_c) = runs
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(m, *args, **kw):
+        calls.append(m.shape)
+        return qr(m, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gieskit.scoring, "STACK_BUDGET", budget)
+        mp.setattr(np.linalg, "qr", counted)
+        _assert_same(keys)
+    stacks = [shape[0] for shape in calls if shape[1:] == (DATA.n, k)]
+    # runs a and b meet in the first chunk; run c spans at least two
+    assert stacks[0] == len(run_a) + 1
+    assert sum(stacks) == len(run_a) + len(run_b) + len(run_c)
+    assert len(stacks) >= 3
 
 
 def _factored(keys, data=DATA) -> list[tuple[int, int, bytes]]:
