@@ -28,7 +28,7 @@ import numpy as np
 
 # has_path is no longer called here but stays importable from this module:
 # perfbench/tracing.py wraps it in place, like local_score and MoveCandidate
-from .graphs import Dag, GraphError, has_path  # noqa: F401
+from .graphs import Dag, GraphError, _check_limit, has_path  # noqa: F401
 from .interventions import OBSERVATIONAL, TargetFamily, _require_conservative
 from .scoring import UNFITTABLE, InterventionalDataset, ScoreCache, local_score
 from .search import (  # noqa: F401
@@ -112,13 +112,16 @@ def dp_exact(
     ranks), hence the hard max_p guard. max_parents caps the parent-set
     size of the local-score table (defaults to unlimited up to 12 vertices
     and 5 beyond); a cap can exclude the true optimum, so the applied value
-    is reported in the metadata.
+    is reported in the metadata. A max_p or max_parents that is not an
+    integer (a bool is not one), or a negative max_parents, raises
+    GraphError.
     """
     p = data.p
+    _check_limit("max_p", max_p)
+    if max_parents is not None:
+        _check_limit("max_parents", max_parents, 0)
     if p > max_p:
         raise TooLarge(p, max_p)
-    if max_parents is not None and max_parents < 0:
-        raise GraphError(f"max_parents must be >= 0, got {max_parents}")
     _require_conservative(fam, p)
     data.check_family(fam)
     data.check_columns()

@@ -52,10 +52,27 @@ class VerticesAdjacent(GraphError):
 VertexOrdering = tuple[int, ...]
 
 
+def _is_integer(v: object) -> bool:
+    """TargetFamily's rule for an integer: an Integral that is not a bool.
+    Vertex ids and the learners' and simulator's integer limits follow it."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _check_limit(
+    name: str, value: object, least: int | None = None, error: type[Exception] = GraphError
+) -> None:
+    """Raise error naming the limit `name` unless value is an integer by
+    _is_integer's rule, and at least `least` if one is given."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 def _vertex_error(v: object, p: int) -> str | None:
-    """Why v is not a vertex id of 1..p by TargetFamily's rule (an Integral
-    that is not a bool), or None if it is one."""
-    if isinstance(v, bool) or not isinstance(v, Integral):
+    """Why v is not a vertex id of 1..p by _is_integer's rule, or None if it
+    is one."""
+    if not _is_integer(v):
         return f"{v!r} is not an integer vertex id"
     return None if 1 <= v <= p else f"{v} outside 1..{p}"
 
@@ -561,11 +578,11 @@ def cliques_in_neighborhood(
     within: Iterable[int],
 ) -> list[frozenset[int]]:
     """All subsets of `within` (including the empty set) that are cliques of
-    the line subgraph of g, in increasing size then lexicographic order. A
-    member that is not a vertex id of g raises GraphError."""
+    the line subgraph of g, each once, in increasing size then lexicographic
+    order. A member that is not a vertex id of g raises GraphError."""
     base = list(within)
     _check_vertices(g, base)
-    base.sort()
+    base = sorted(set(base))
     levels: list[list[tuple[int, ...]]] = [[()]]
     while levels[-1]:
         prev = levels[-1]

@@ -18,8 +18,9 @@ Scores are computed in batches: `ScoreCache.fill` fits every missing (v, P)
 key of a batch at once. A design is a (row set, P) pair, and every vertex
 of the row set that regresses on P reads the same one, so a batch factors
 each distinct design once and each of its keys reuses that factorization
-for its own response column. The designs of one row set and parent-set size
-are cut into chunks under `STACK_BUDGET`, and each chunk is one stacked QR.
+for its own response column. The designs of one row set, parent-set size and
+key count have one shape; they are cut into chunks of as many whole designs
+as fit in `STACK_BUDGET`, and each chunk is one stacked QR and one solve.
 A dataset stores its samples once, from construction, as the column-major
 matrix the fits read (`X` is a read-only view of it), and a batch holds at
 most one transient copy of the rows of one row set short of all rows, while
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Dag, Graph, _vertex_error
+from .graphs import Dag, Graph, _vertex_error, is_acyclic
 from .interventions import Target, TargetFamily
 
 #: A fit whose residual variance falls below this floor raises DegenerateFit.
@@ -339,9 +340,9 @@ def _bad_key(v: object, pa: frozenset, p: int) -> str:
 
 
 #: Element budget of one stacked fit, in rows x (|P| + keys) per design:
-#: the designs of one row set and parent-set size are fitted in chunks of
-#: whole designs, at most this many entries of A and Y per chunk. A design
-#: over the budget is a chunk on its own.
+#: the designs of one row set, parent-set size and key count are fitted in
+#: chunks of as many whole designs as fit in this many entries of A and Y,
+#: and at least one.
 STACK_BUDGET = 32768
 
 Fit = tuple[np.ndarray, float, int]
@@ -360,11 +361,12 @@ def _fit(
 
     A design is one (row set, parent set): the keys of all vertices that
     regress on it share one factorization, so each call factors each
-    distinct design once. The designs of one row set and parent-set size,
-    sorted by key count, are cut into chunks under STACK_BUDGET, and
-    _fit_stack fits each chunk from the dataset's column-major matrix (for
-    a row set short of all rows, from a copy of those rows taken once per
-    call and dropped when the set's keys are done)."""
+    distinct design once. The designs of one row set, parent-set size k and
+    key count r have one shape, and _fit_stack fits them in chunks of
+    max(1, STACK_BUDGET // (n_v * (k + r))) designs from the dataset's
+    column-major matrix (for a row set short of all rows, from a copy of
+    those rows taken once per call and dropped when the set's keys are
+    done)."""
     out: list[Fit | ScoringError | None] = [None] * len(keys)
     rows, group_of = data._row_groups
     # (row set, parent set): the keys of one design
@@ -379,25 +381,17 @@ def _fit(
             )
         else:
             designs.setdefault((g, parents), []).append(i)
-    # row set -> parent-set size -> its designs' key lists
-    sizes: dict[int, dict[int, list[list[int]]]] = {}
+    # row set -> (parent-set size, key count) -> its designs' key lists
+    shapes: dict[int, dict[tuple[int, int], list[list[int]]]] = {}
     for (g, parents), members in designs.items():
-        sizes.setdefault(g, {}).setdefault(len(parents), []).append(members)
-    for g, same_size in sizes.items():
+        shapes.setdefault(g, {}).setdefault((len(parents), len(members)), []).append(members)
+    for g, same_rows in shapes.items():
         n_v = rows[g].size
         XT = data._columns if n_v == data.n else data._columns.take(rows[g], axis=1)
-        for k, same in same_size.items():
-            same.sort(key=len)
-            chunk: list[list[int]] = []
-            entries = 0
-            for members in same:
-                cost = n_v * (k + len(members))
-                if chunk and entries + cost > STACK_BUDGET:
-                    _fit_stack(XT, keys, chunk, out)
-                    chunk, entries = [], 0
-                chunk.append(members)
-                entries += cost
-            _fit_stack(XT, keys, chunk, out)
+        for (k, r), same in same_rows.items():
+            size = max(1, STACK_BUDGET // (n_v * (k + r)))
+            for lo in range(0, len(same), size):
+                _fit_stack(XT, keys, same[lo : lo + size], out)
         del XT  # before the next set's copy is taken
     return out
 
@@ -409,62 +403,49 @@ def _fit_stack(
     out: list,
 ) -> None:
     """Fit one chunk of _fit: the designs whose keys' indices (into keys)
-    `chunk` lists, all on the rows of XT and of one parent-set size, in
-    ascending key count; each fit goes to out at its key's index. Row j - 1
+    `chunk` lists, all on the rows of XT, of one parent-set size and with
+    equally many keys; each fit goes to out at its key's index. Row j - 1
     of XT holds column j of X over those rows, in C order.
 
-    One QR factors every design of the chunk. Each run of designs with
-    equally many keys is then solved on views of the factors, broadcast
-    over the run's keys, so no design is copied per key. Slicing the stack
-    along its first axis keeps the inner strides, and numpy's stacked qr,
-    solve and matmul make the same LAPACK/BLAS call per member, broadcast
-    or not, as on one matrix: each key's result is bitwise the result of
-    fitting it alone."""
+    One QR factors every design of the chunk, and one solve on the factors,
+    broadcast over the keys, fits them all, so no design is copied per key.
+    numpy's stacked qr, solve and matmul make the same LAPACK/BLAS call per
+    member, broadcast or not, as on one matrix: each key's result is
+    bitwise the result of fitting it alone."""
     n_v = XT.shape[1]
+    d, r = len(chunk), len(chunk[0])
     parents = [keys[members[0]][1] for members in chunk]
     k = len(parents[0])
-    # key j of every design of a run, for j = 0 .. r - 1: the runs' keys in
-    # the order their response rows are gathered
-    runs, order = [], []
-    lo = 0
-    for hi in range(1, len(chunk) + 1):
-        if hi == len(chunk) or len(chunk[hi]) != len(chunk[lo]):
-            runs.append((lo, hi, len(chunk[lo])))
-            order += [i for row in zip(*chunk[lo:hi]) for i in row]
-            lo = hi
+    # key j of every design, for j = 0 .. r - 1: the order the response
+    # rows are gathered in, so that Y reshapes to (r, d, n_v)
+    order = [i for row in zip(*chunk) for i in row]
     # rows of XT are contiguous, so this gather copies whole rows
     Y = XT[[keys[i][0] - 1 for i in order]]
-    fitted: list[tuple[np.ndarray, float] | None] = []
+    fitted: list[tuple[np.ndarray, float] | None]
     if k == 0:
         fitted = [(np.empty(0), float(y @ y)) for y in Y]
     else:
         cols = np.array(parents) - 1
         # filled one parent column at a time: the designs must be C-ordered,
         # because a matmul on F-ordered members rounds differently
-        A = np.empty((len(chunk), n_v, k))
+        A = np.empty((d, n_v, k))
         for j in range(k):
             A[:, :, j] = XT[cols[:, j]]
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         # strict, so a zero diagonal is singular even when RANK_RTOL times a
         # subnormal maximum underflows to zero
-        full_rank = diag.min(axis=1) > RANK_RTOL * diag.max(axis=1)
-        start = 0
-        for lo, hi, r in runs:
-            d = hi - lo
-            Yr = Y[start : start + r * d].reshape(r, d, n_v)
-            start += r * d
-            good = full_rank[lo:hi]
-            Qr, Rr, Ar = Q[lo:hi], R[lo:hi], A[lo:hi]
-            # a rank-deficient member would fail solve for the whole run
-            if not good.all():
-                Qr, Rr, Ar, Yr = Qr[good], Rr[good], Ar[good], Yr[:, good]
-            Yc = Yr[..., None]
-            coefs = np.linalg.solve(Rr, Qr.transpose(0, 2, 1) @ Yc)
-            resid = Yc - Ar @ coefs
-            rss = (resid.swapaxes(2, 3) @ resid)[..., 0, 0]
-            results = iter(zip(coefs.reshape(-1, k), rss.ravel().tolist()))
-            fitted += [next(results) if ok else None for ok in list(good) * r]
+        good = diag.min(axis=1) > RANK_RTOL * diag.max(axis=1)
+        Y = Y.reshape(r, d, n_v)
+        # a rank-deficient member would fail solve for the whole chunk
+        if not good.all():
+            Q, R, A, Y = Q[good], R[good], A[good], Y[:, good]
+        Yc = Y[..., None]
+        coefs = np.linalg.solve(R, Q.transpose(0, 2, 1) @ Yc)
+        resid = Yc - A @ coefs
+        rss = (resid.swapaxes(2, 3) @ resid)[..., 0, 0]
+        results = iter(zip(coefs.reshape(-1, k), rss.ravel().tolist()))
+        fitted = [next(results) if ok else None for ok in list(good) * r]
     for i, fit in zip(order, fitted):
         v, pa = keys[i]
         if fit is None:
@@ -539,6 +520,17 @@ def _check_vertex_count(g: Graph, data: InterventionalDataset) -> None:
         raise ScoringError(f"graph has {g.p} vertices, data has {data.p}")
 
 
+def _check_dag(g: Graph, data: InterventionalDataset) -> None:
+    """A DAG scored on data must have one vertex per column, and no line
+    and no directed cycle: else ScoringError."""
+    _check_vertex_count(g, data)
+    if g.num_lines:
+        a, b = g.lines[0]
+        raise ScoringError(f"scoring requires a fully directed graph, got the line {a} - {b}")
+    if not is_acyclic(g):
+        raise ScoringError("scoring requires an acyclic graph, got a directed cycle")
+
+
 def total_score(
     d: Graph,
     data: InterventionalDataset,
@@ -548,9 +540,7 @@ def total_score(
     """Sum of local scores over all vertices of a fully directed acyclic
     graph: the BIC of the DAG, scored through the cache _bound_cache
     picks."""
-    _check_vertex_count(d, data)
-    if d.num_lines:
-        raise ScoringError("total_score requires a fully directed graph")
+    _check_dag(d, data)
     cache = _bound_cache(data, cache, penalty)
     return sum(local_score(v, d._pa[v], data, cache=cache) for v in d.vertices)
 
@@ -591,8 +581,8 @@ class GaussianModel:
 def mle_params(d: Dag, data: InterventionalDataset) -> GaussianModel:
     """Maximum-likelihood weights and error variances of d on the data,
     from the fits the score uses: a variance below VARIANCE_FLOOR raises
-    DegenerateFit."""
-    _check_vertex_count(d, data)
+    DegenerateFit. d must be a DAG, as for total_score."""
+    _check_dag(d, data)
     p = d.p
     B = np.zeros((p, p))
     sigma2 = np.zeros(p)

@@ -51,6 +51,7 @@ from .graphs import (
     NotAnArrow,
     NotAnEdge,
     VerticesAdjacent,
+    _check_limit,
     _check_vertices,
     _orient_component,
     _reach,
@@ -132,9 +133,9 @@ class GiesOptions:
     """Knobs of the greedy search.
 
     variant: "gies" (full loop) or "gies-nt" (one forward fixpoint, one
-    backward fixpoint, no turning). max_degree bounds the number of
-    neighbours a vertex may reach through inserts, guarding the clique
-    enumeration.
+    backward fixpoint, no turning). max_degree, an integer >= 0 (not a
+    bool), bounds the number of neighbours a vertex may reach through
+    inserts, guarding the clique enumeration.
     """
 
     variant: str = "gies"
@@ -516,8 +517,8 @@ def run_phases(
     """
     if opts.variant not in ("gies", "gies-nt"):
         raise GraphError(f"unknown variant {opts.variant!r}")
-    if opts.max_degree is not None and opts.max_degree < 0:
-        raise GraphError(f"max_degree must be >= 0, got {opts.max_degree}")
+    if opts.max_degree is not None:
+        _check_limit("max_degree", opts.max_degree, 0)
     _require_conservative(fam, data.p)
     data.check_family(fam)
     data.check_columns()

@@ -16,7 +16,7 @@ from math import comb, inf, isfinite
 
 import numpy as np
 
-from .graphs import Dag, topological_order
+from .graphs import Dag, _check_limit, topological_order
 from .interventions import TargetFamily
 from .scoring import GaussianModel, InterventionalDataset
 
@@ -54,7 +54,8 @@ class SimConfig:
     intervened vertices per target; n: total sample count; level_mean,
     level_sd: mean (finite) and standard deviation (finite, >= 0) of an
     intervened variable; seed: RNG seed (>= 0). An out-of-range p, s,
-    level_mean, level_sd or seed raises InvalidSimConfig naming it.
+    level_mean, level_sd or seed, or a p, k, m, n or seed that is not an
+    integer (a bool is not one), raises InvalidSimConfig naming it.
     """
 
     p: int
@@ -67,8 +68,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidSimConfig(f"p must be >= 1, got {self.p}")
+        for name, least in (("p", 1), ("k", None), ("m", None), ("n", None), ("seed", 0)):
+            _check_limit(name, getattr(self, name), least, InvalidSimConfig)
         if not 0.0 <= self.s <= 1.0:  # NaN fails every comparison
             raise InvalidSimConfig(f"s must lie in [0, 1], got {self.s}")
         if not isfinite(self.level_mean):
@@ -77,8 +78,6 @@ class SimConfig:
             raise InvalidSimConfig(
                 f"level_sd must be finite and >= 0, got {self.level_sd}"
             )
-        if self.seed < 0:
-            raise InvalidSimConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
@@ -189,10 +188,9 @@ class SimResult:
 
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:
     """Draw one scenario instance: DAG, model, targets and samples, each
-    from its own substream of (seed, replicate). A negative replicate
-    raises InvalidSimConfig."""
-    if replicate < 0:
-        raise InvalidSimConfig(f"replicate must be >= 0, got {replicate}")
+    from its own substream of (seed, replicate). A replicate that is not
+    an integer, or is negative, raises InvalidSimConfig."""
+    _check_limit("replicate", replicate, 0, InvalidSimConfig)
     c = config
     dag = random_dag(c.p, c.s, substream(c.seed, replicate, _DAG))
     model = random_model(dag, substream(c.seed, replicate, _MODEL))

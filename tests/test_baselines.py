@@ -192,6 +192,21 @@ def test_learners_reject_negative_caps(option, learn):
     assert not graph.arrows and not graph.lines
 
 
+@pytest.mark.parametrize("option, learn", [
+    ("max_degree", lambda cap: gies(SIM4.data, SIM4.fam, GiesOptions(max_degree=cap))),
+    ("max_degree", lambda cap: gds(SIM4.data, SIM4.fam, GiesOptions(max_degree=cap))),
+    ("max_degree", lambda cap: ges(SIM4.data, GiesOptions(max_degree=cap))),
+    ("max_parents", lambda cap: dp_exact(SIM4.data, SIM4.fam, max_parents=cap)),
+    ("max_p", lambda cap: dp_exact(SIM4.data, SIM4.fam, max_p=cap)),
+], ids=["gies", "gds", "ges", "dp", "dp-max_p"])
+@pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "str"])
+def test_learners_reject_non_integer_limits(option, learn, value):
+    # 1.5 once acted as a cap of 2 and True as 1; a float dp limit raised a
+    # bare TypeError
+    with pytest.raises(GraphError, match=f"^{option} must be an integer, got {value!r}$"):
+        learn(value)
+
+
 def test_dp_exact_is_deterministic():
     a = dp_exact(SIM4.data, SIM4.fam)
     b = dp_exact(SIM4.data, SIM4.fam)

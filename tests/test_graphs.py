@@ -328,6 +328,16 @@ def test_cliques_in_neighborhood_fixture():
     assert frozenset() in got
 
 
+def test_cliques_in_neighborhood_lists_each_clique_once():
+    # a repeated member once listed {1} and {1, 2} twice each; repeats are
+    # dropped after the ids are checked, so True beside 1 is still refused
+    g = Graph(3, lines=[(1, 2)])
+    got = cliques_in_neighborhood(g, [1, 1, 2])
+    assert got == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    with pytest.raises(GraphError, match="True is not an integer vertex id"):
+        cliques_in_neighborhood(g, [1, True])
+
+
 @given(mixed_graphs(), st.data())
 def test_cliques_in_neighborhood_matches_oracle(g, data):
     v = data.draw(st.integers(1, g.p))

@@ -425,11 +425,23 @@ def test_total_score_sums_local_terms(data5):
     assert total_score(d, data5) == pytest.approx(want, rel=1e-12)
 
 
+# data on 3 vertices, and two graphs on them that are not DAGs: a line,
+# which mle_params once dropped, and a directed cycle, which both once scored
+DATA3 = simulate(SimConfig(p=3, s=0.5, k=1, m=1, n=200, seed=1)).data
+NOT_DAGS = [
+    (Graph(3, lines=[(1, 2)]), "a fully directed graph, got the line 1 - 2"),
+    (Graph(3, arrows=[(1, 2), (2, 3), (3, 1)]), "an acyclic graph, got a directed cycle"),
+]
+
+
 def test_total_score_requires_directed_graph(data5):
     with pytest.raises(ScoringError):
         total_score(Graph(5, lines=[(1, 2)]), data5)
     with pytest.raises(ScoringError):
         total_score(Dag(4), data5)
+    for graph, why in NOT_DAGS:
+        with pytest.raises(ScoringError, match=f"^scoring requires {why}$"):
+            total_score(graph, DATA3)
 
 
 def test_total_score_matches_oracle(sim4):
@@ -491,3 +503,9 @@ def test_gaussian_model_names_bad_parameters(B, sigma2, message):
 def test_mle_params_size_mismatch(data5):
     with pytest.raises(ScoringError):
         mle_params(Dag(4), data5)
+
+
+@pytest.mark.parametrize("graph, why", NOT_DAGS, ids=["line", "cycle"])
+def test_mle_params_requires_a_dag(graph, why):
+    with pytest.raises(ScoringError, match=f"^scoring requires {why}$"):
+        mle_params(graph, DATA3)

@@ -117,3 +117,43 @@ def test_bench_record_keeps_each_runs_cpu_time_and_page_faults(tmp_path):
     assert run["user_s"] >= 0 and run["sys_s"] >= 0
     assert run["user_s"] + run["sys_s"] > 0
     assert 1000 < run["minflt"] < 100_000
+
+
+def _library_size():
+    spec = importlib.util.spec_from_file_location("library_size", SCRIPTS / "library_size.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_library_size_counts_code_lines_only(tmp_path):
+    # 6 code lines: docstrings, comments and blank lines do not count, a
+    # code line with a comment does, and so does every line of a
+    # multi-line string that is not a docstring
+    (tmp_path / "a.py").write_text(
+        '"""Module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Function\n"
+        "        docstring.'''\n"
+        "        x = '''not a\n"
+        "        docstring'''\n"
+        "        return x\n"
+    )
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("x = (\n    1,\n)\n")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "library_size.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["a.py", "6", "sub/b.py", "3", "total", "9"]
+    assert _library_size().code_lines("") == 0

@@ -239,6 +239,23 @@ def test_simulate_rejects_out_of_range_parameters(field, p, value):
         simulate(SimConfig(**params, k=0, m=1, n=10))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 2.5), ("p", True), ("k", 1.5), ("m", True), ("n", 10.5), ("n", "10"),
+    ("seed", 1.5),
+])
+def test_sim_config_rejects_non_integer_counts(field, value):
+    # k = 1.5 once drew two targets; the others raised bare TypeErrors
+    params = {"p": 4, "s": 0.5, "k": 1, "m": 1, "n": 10, field: value}
+    with pytest.raises(InvalidSimConfig, match=f"^{field} must be an integer, got {value!r}$"):
+        SimConfig(**params)
+
+
+@pytest.mark.parametrize("replicate", [1.5, True, "1"])
+def test_simulate_rejects_a_non_integer_replicate(replicate):
+    with pytest.raises(InvalidSimConfig, match=f"^replicate must be an integer, got {replicate!r}$"):
+        simulate(SimConfig(p=4, s=0.5, k=0, m=1, n=10), replicate=replicate)
+
+
 def test_simulate_rejects_a_negative_replicate():
     with pytest.raises(InvalidSimConfig, match="^replicate must"):
         simulate(SimConfig(p=4, s=0.5, k=0, m=1, n=10), replicate=-1)

@@ -254,30 +254,45 @@ def _chunks_of(keys, monkeypatch) -> list[list[list[tuple[int, tuple[int, ...]]]
     return chunks
 
 
+def _assert_chunk_rule(keys, chunks, budget=STACK_BUDGET) -> dict:
+    """Check _fit's chunk rule on chunks (from _chunks_of) of keys on DATA:
+    every key with enough rows is fitted exactly once, each design's keys
+    stay in one chunk, every chunk holds designs of one row set, parent-set
+    size k and key count r, and the chunks of one such group hold
+    max(1, budget // (n_v * (k + r))) designs each, but for the group's last
+    chunk. Returns {(id of the row set, k, r): the group's chunk sizes}."""
+    fittable = [(v, pa) for v, pa in keys if cases.row_set(DATA, v).size > len(pa) + 1]
+    fitted = [key for chunk in chunks for design in chunk for key in design]
+    assert sorted(fitted) == sorted(fittable)
+    designs = set()
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for chunk in chunks:
+        rows = {id(cases.row_set(DATA, v)) for design in chunk for v, _ in design}
+        shapes = {(len(design[0][1]), len(design)) for design in chunk}
+        assert len(rows) == len(shapes) == 1
+        for design in chunk:
+            assert len({parents for _, parents in design}) == 1
+            designs.add((*rows, design[0][1]))
+        ((k, r),) = shapes
+        groups.setdefault((*rows, k, r), []).append(len(chunk))
+    assert len(designs) == sum(map(sum, groups.values()))
+    n_v = {id(rows): rows.size for rows in DATA._row_groups[0]}
+    for (rows, k, r), sizes in groups.items():
+        size = max(1, budget // (n_v[rows] * (k + r)))
+        assert sizes[:-1] == [size] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= size
+    return groups
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_shared_designs_spanning_chunks_stay_whole(k, monkeypatch):
     # every design of k parents on the vertices 4..12 outside it, with 6 to
-    # 9 keys each: several chunks, each of whole designs of one row set and
-    # parent-set size, sorted by key count; a chunk stays within the budget
-    # (n * (|P| + keys) entries per design) unless it is one design, and
-    # ends only where the next design would overflow it; every key is
-    # fitted exactly once
+    # 9 keys each: one group per key count, some of several chunks
     keys = _every_design(k)
     _assert_same(keys)
-    chunks = _chunks_of(keys, monkeypatch)
-    assert len(chunks) > 1
-    designs = [design for chunk in chunks for design in chunk]
-    assert sorted(key for design in designs for key in design) == sorted(keys)
-    for design in designs:
-        assert len({parents for _, parents in design}) == 1
-    assert len({design[0][1] for design in designs}) == len(designs)
-    counts = [len(design) for design in designs]
-    assert counts == sorted(counts) and len(set(counts)) > 1
-    cost = [[DATA.n * (k + len(design)) for design in chunk] for chunk in chunks]
-    for this, after in zip(cost, cost[1:] + [None]):
-        assert sum(this) <= STACK_BUDGET or len(this) == 1
-        if after:
-            assert sum(this) + after[0] > STACK_BUDGET
+    groups = _assert_chunk_rule(keys, _chunks_of(keys, monkeypatch))
+    assert len(groups) > 1
+    assert max(map(len, groups.values())) > 1
 
 
 def test_one_qr_per_chunk(monkeypatch):
@@ -300,14 +315,14 @@ def test_one_qr_per_chunk(monkeypatch):
 @st.composite
 def _chunked_batches(draw):
     """A stack budget and a shuffled batch of keys on DATA whose designs of
-    k parents on all 300 rows form three runs of key counts a < b < c:
-    run a holds one rank-deficient design (parents 6 and 7, with
-    x7 = 2 x6) among full-rank ones, every design of run b is rank
-    deficient, and run c holds full-rank designs only. The budget takes
-    run a and the first design of run b into one chunk, and run c is too
-    large for one chunk. Keys of other sizes and row sets ride along."""
+    k parents on all 300 rows form three groups of key counts a < b < c:
+    group a holds one rank-deficient design (parents 6 and 7, with
+    x7 = 2 x6) among full-rank ones, every design of group b is rank
+    deficient, and group c holds full-rank designs only. The budget takes
+    group a into one chunk, and group c is too large for one chunk. Keys of
+    other sizes and row sets ride along."""
     k = draw(st.integers(3, 4))
-    a, b, c = sorted(draw(st.lists(st.integers(1, 9 - k), min_size=3, max_size=3,
+    a, b, c = sorted(draw(st.lists(st.integers(2, 9 - k), min_size=3, max_size=3,
                                    unique=True)))
     m_a, m_b = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     m_c = m_a + 3 + draw(st.integers(0, 2))
@@ -318,10 +333,10 @@ def _chunked_batches(draw):
                               max_size=m_b + 1, unique=True))
     regular = draw(st.lists(st.sampled_from(full), min_size=m_a - 1 + m_c,
                             max_size=m_a - 1 + m_c, unique=True))
-    runs = [(a, regular[: m_a - 1] + deficient[:1]), (b, deficient[1:]),
-            (c, regular[m_a - 1 :])]
+    groups = [(a, regular[: m_a - 1] + deficient[:1]), (b, deficient[1:]),
+              (c, regular[m_a - 1 :])]
     keys = []
-    for r, parent_sets in runs:
+    for r, parent_sets in groups:
         for parents in parent_sets:
             others = [v for v in range(4, P + 1) if v not in parents]
             keys += [(v, parents) for v in draw(st.permutations(others))[:r]]
@@ -330,33 +345,25 @@ def _chunked_batches(draw):
     keys += [key for size in (0, 1) for key in _keys(rng, draw(st.integers(0, 4)), size)]
     keys += _keys(rng, draw(st.integers(0, 4)), k, vertices=(1, 2, 3))
     keys = draw(st.permutations(keys))
-    # every design costs at least n * (k + 1) > n entries, so no further
-    # design fits in the slack
-    budget = DATA.n * (m_a * (k + a) + k + b) + draw(st.integers(0, DATA.n - 1))
-    return budget, keys, k, runs
+    # m_a designs of group a and no more fit; a design of group c costs
+    # more than one of group a, so fewer than m_a + 1 < m_c of them fit
+    budget = DATA.n * (k + a) * (m_a + 1) - 1 - draw(st.integers(0, DATA.n * (k + a) - 1))
+    return budget, keys, k, groups
 
 
 @settings(max_examples=40, deadline=None)
 @given(_chunked_batches())
 def test_chunks_of_mixed_key_counts_equal_the_per_key_fits(batch):
-    budget, keys, k, runs = batch
-    (a, run_a), (b, run_b), (c, run_c) = runs
-    calls = []
-    qr = np.linalg.qr
-
-    def counted(m, *args, **kw):
-        calls.append(m.shape)
-        return qr(m, *args, **kw)
-
+    budget, keys, k, ((a, group_a), (b, group_b), (c, group_c)) = batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gieskit.scoring, "STACK_BUDGET", budget)
-        mp.setattr(np.linalg, "qr", counted)
         _assert_same(keys)
-    stacks = [shape[0] for shape in calls if shape[1:] == (DATA.n, k)]
-    # runs a and b meet in the first chunk; run c spans at least two
-    assert stacks[0] == len(run_a) + 1
-    assert sum(stacks) == len(run_a) + len(run_b) + len(run_c)
-    assert len(stacks) >= 3
+        groups = _assert_chunk_rule(keys, _chunks_of(keys, mp), budget)
+    rows = id(cases.row_set(DATA, 4))  # all 300 rows
+    assert groups[rows, k, a] == [len(group_a)]
+    assert sum(groups[rows, k, b]) == len(group_b)
+    assert sum(groups[rows, k, c]) == len(group_c)
+    assert len(groups[rows, k, c]) >= 2
 
 
 def _factored(keys, data=DATA) -> list[tuple[int, int, bytes]]:
