@@ -53,8 +53,9 @@ VertexOrdering = tuple[int, ...]
 
 
 def _is_integer(v: object) -> bool:
-    """TargetFamily's rule for an integer: an Integral that is not a bool.
-    Vertex ids and the learners' and simulator's integer limits follow it."""
+    """The one rule for an integer: an Integral that is not a bool. Target
+    members, vertex ids and the learners' and simulator's integer limits
+    follow it."""
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 

@@ -22,7 +22,6 @@ import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral
 from types import MappingProxyType
 from typing import Iterator
 
@@ -33,6 +32,7 @@ from .graphs import (
     GraphError,
     NotAnArrow,
     _check_vertices,
+    _is_integer,
     _orient_component,
     _reach,
     as_chain_graph,
@@ -78,7 +78,7 @@ class TargetFamily:
                 raise GraphError(f"target {t!r} is not a collection of vertex ids")
             t = list(t)
             for v in t:
-                if isinstance(v, bool) or not isinstance(v, Integral):
+                if not _is_integer(v):
                     raise GraphError(f"target {t!r}: {v!r} is not an integer vertex id")
                 if v < 1:
                     raise GraphError(f"target vertex {v} is not a positive id")

@@ -306,7 +306,7 @@ class ScoreCache:
         sorted_keys = []
         for v, pa in missing:
             ids = (v, *pa)
-            # ints in 1..p pass at once; any other id meets TargetFamily's rule
+            # ints in 1..p pass at once; any other id meets _vertex_error's rule
             fast = {int}.issuperset(map(type, ids)) and 0 < min(ids) and max(ids) <= p
             if not fast and any(map(_vertex_error, ids, repeat(p))) or v in pa:
                 raise ScoringError(_bad_key(v, pa, p))

@@ -322,7 +322,7 @@ def _chunked_batches(draw):
     group a into one chunk, and group c is too large for one chunk. Keys of
     other sizes and row sets ride along."""
     k = draw(st.integers(3, 4))
-    a, b, c = sorted(draw(st.lists(st.integers(2, 9 - k), min_size=3, max_size=3,
+    a, b, c = sorted(draw(st.lists(st.integers(1, 9 - k), min_size=3, max_size=3,
                                    unique=True)))
     m_a, m_b = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     m_c = m_a + 3 + draw(st.integers(0, 2))
