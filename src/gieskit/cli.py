@@ -113,10 +113,9 @@ def _run_algo(algo, data, fam, opts, **limits):
     if algo == "gds":
         r = gds(data, fam, opts)
         return r.dag, r.score, r.steps, r.trace
-    if algo == "dp":
-        r = dp_exact(data, fam, **limits)
-        return r.dag, r.score, 0, None
-    raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
+    # "dp": fit and sweep restrict --algo to ALGOS
+    r = dp_exact(data, fam, **limits)
+    return r.dag, r.score, 0, None
 
 
 # -- subcommands -------------------------------------------------------------

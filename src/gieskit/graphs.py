@@ -83,7 +83,8 @@ class Graph:
 
     Parameters
     ----------
-    p : number of vertices; the vertex set is 1..p.
+    p : number of vertices, an integer >= 0 (not a bool); the vertex set
+        is 1..p.
     arrows : iterable of (tail, head) pairs.
     lines : iterable of {a, b} pairs, orientation-free.
 
@@ -99,8 +100,7 @@ class Graph:
         arrows: Iterable[tuple[int, int]] = (),
         lines: Iterable[tuple[int, int]] = (),
     ):
-        if p < 0:
-            raise GraphError(f"vertex count must be >= 0, got {p}")
+        _check_limit("vertex count", p, 0)
         self.p = p
         self._pa: list[set[int]] = [set() for _ in range(p + 1)]
         self._ch: list[set[int]] = [set() for _ in range(p + 1)]
@@ -423,6 +423,19 @@ def is_acyclic(g: Graph) -> bool:
     except DirectedCycle:
         return False
     return True
+
+
+def _dag_error(g: Graph) -> str | None:
+    """Why g is not a DAG, in the words of scoring's errors (its first
+    line, or that it has a directed cycle), or None if it is one."""
+    if isinstance(g, Dag):
+        return None  # its constructor checked it
+    if g.num_lines:
+        a, b = g.lines[0]
+        return f"requires a fully directed graph, got the line {a} - {b}"
+    if not is_acyclic(g):
+        return "requires an acyclic graph, got a directed cycle"
+    return None
 
 
 def topological_order(g: Graph) -> VertexOrdering:

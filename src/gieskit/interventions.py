@@ -31,7 +31,9 @@ from .graphs import (
     Graph,
     GraphError,
     NotAnArrow,
+    _check_limit,
     _check_vertices,
+    _dag_error,
     _is_integer,
     _orient_component,
     _reach,
@@ -195,7 +197,12 @@ def intervention_graph(g: Graph, target: Iterable[int]) -> Graph:
 
 def markov_equivalent(d1: Dag, d2: Dag, fam: TargetFamily) -> bool:
     """Whether d1 and d2 are indistinguishable from data generated under
-    every target of a conservative family."""
+    every target of a conservative family. A d1 or d2 that is not a DAG
+    raises GraphError naming its line or directed cycle."""
+    for name, d in (("d1", d1), ("d2", d2)):
+        why = _dag_error(d)
+        if why:
+            raise GraphError(f"markov_equivalent {why} in {name}")
     if d1.p != d2.p:
         raise GraphError(f"vertex counts differ: {d1.p} != {d2.p}")
     _require_conservative(fam, d1.p)
@@ -262,7 +269,11 @@ def replace_unprotected(g: Graph, fam: TargetFamily) -> Graph:
 
 def essential_graph(d: Dag, fam: TargetFamily) -> EssentialGraph:
     """The graph union of the equivalence class of d: arrows shared by every
-    member stay arrows, disputed arrows become lines."""
+    member stay arrows, disputed arrows become lines. A d that is not a DAG
+    raises GraphError naming its line or directed cycle."""
+    why = _dag_error(d)
+    if why:
+        raise GraphError(f"essential_graph {why}")
     _require_conservative(fam, d.p)
     return EssentialGraph(as_chain_graph(replace_unprotected(d, fam)), fam)
 
@@ -373,9 +384,9 @@ def enumerate_representatives(
     e: EssentialGraph | Graph, limit: int = 10_000
 ) -> list[Dag]:
     """Every member of the equivalence class, as DAGs; raises
-    TooManyRepresentatives once more than `limit` members are seen."""
-    if limit < 1:
-        raise GraphError(f"limit must be >= 1, got {limit}")
+    TooManyRepresentatives once more than `limit` members are seen. A
+    limit that is not an integer of at least 1 raises GraphError."""
+    _check_limit("limit", limit, 1)
     g = _as_graph(e)
     base = list(g.arrows)
     per_comp: list[list[tuple[tuple[int, int], ...]]] = []

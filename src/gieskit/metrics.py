@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Dag, Graph, GraphError
+from .graphs import Dag, Graph, GraphError, _dag_error
 from .interventions import TargetFamily, count_non_essential, essential_graph
 
 
@@ -83,7 +83,11 @@ class EvaluationReport:
 
 def evaluate(estimate: Graph, truth: Dag, fam: TargetFamily) -> EvaluationReport:
     """Compare an estimated graph against the true DAG and against the true
-    DAG's essential graph under fam (the identifiable part)."""
+    DAG's essential graph under fam (the identifiable part). A truth that
+    is not a DAG raises GraphError naming its line or directed cycle."""
+    why = _dag_error(truth)
+    if why:
+        raise GraphError(f"evaluate {why} in the truth")
     eg = essential_graph(truth, fam)
     return EvaluationReport(
         breakdown=shd(estimate, truth),

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Dag, Graph, _vertex_error, is_acyclic
+from .graphs import Dag, Graph, _dag_error, _vertex_error
 from .interventions import Target, TargetFamily
 
 #: A fit whose residual variance falls below this floor raises DegenerateFit.
@@ -328,8 +328,10 @@ def _bad_key(v: object, pa: frozenset, p: int) -> str:
     """Why a (vertex, parents) key names no local score on p vertices."""
     try:
         parents = sorted(pa)
-    except TypeError:  # ids of types that do not compare
-        parents = list(pa)
+    except TypeError:
+        # ids of types that do not compare: order by repr, which, unlike
+        # set order, does not follow string hashing
+        parents = sorted(pa, key=repr)
     why = _vertex_error(v, p)
     if why:
         why = f"vertex {why}"
@@ -522,13 +524,11 @@ def _check_vertex_count(g: Graph, data: InterventionalDataset) -> None:
 
 def _check_dag(g: Graph, data: InterventionalDataset) -> None:
     """A DAG scored on data must have one vertex per column, and no line
-    and no directed cycle: else ScoringError."""
+    and no directed cycle (graphs._dag_error): else ScoringError."""
     _check_vertex_count(g, data)
-    if g.num_lines:
-        a, b = g.lines[0]
-        raise ScoringError(f"scoring requires a fully directed graph, got the line {a} - {b}")
-    if not is_acyclic(g):
-        raise ScoringError("scoring requires an acyclic graph, got a directed cycle")
+    why = _dag_error(g)
+    if why:
+        raise ScoringError(f"scoring {why}")
 
 
 def total_score(

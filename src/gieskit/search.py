@@ -5,8 +5,10 @@ triple (u, v, C): C is a clique of line-neighbours of v describing how a
 representative DAG orients the lines at v before the single-edge change is
 made. Insert adds the arrow u -> v between non-adjacent vertices, delete
 removes the edge between u and v, and turn reverses an existing arrow
-v -> u (or orients a line) to u -> v. One check (`valid_move`) holds the
-structural validity conditions of every kind. Beyond those, every kind
+v -> u (or orients a line) to u -> v. Validity is defined once: the move
+generator (`_moves`) yields the cliques C that each kind's rule (`_ADMITS`)
+admits, one private function (`_paths_clear`) holds the path rule of
+insert and turn-arrow, and `valid_move` asks both. Beyond that, every kind
 changes the parent set of v (a turn also that of u) in a representative
 that orients C into v, so one score delta (`move_delta`) and one
 application (`apply_move`) serve all four: the application orients the
@@ -20,8 +22,9 @@ visiting each v once. The local-score keys of all the moves of a call are
 scored in one cache fill (`ScoreCache.fill`, one stacked fit), and every
 delta is then formed from the memo. The candidates are ranked by delta;
 exact ties fall back to the lexicographic key (kind, v, u, sorted C),
-computed once per candidate, so runs are deterministic. The path conditions
-are checked on this ranked walk only, and only strictly positive deltas are
+computed once per candidate, so runs are deterministic. Every candidate
+already meets its edge and clique rules, so the ranked walk checks only the
+path rule (`_paths_clear`), and only strictly positive deltas are
 accepted. A move changes the pa/nb/ch sets of a few vertices (D), so the
 score cache keeps one ranking per phase and max_degree, which `best_move`
 brings up to date by diffing those sets: it rebuilds the candidates of
@@ -152,10 +155,6 @@ class SearchResult:
     trace: SearchTrace | None
 
 
-def _clique_of_lines(g: Graph, C: frozenset[int]) -> bool:
-    return all(g.has_line(a, b) for a in C for b in C if a < b)
-
-
 def _neighborhood_separated(
     g: Graph,
     domain: frozenset[int],
@@ -173,7 +172,8 @@ def _neighborhood_separated(
 
 
 # With N := nb(v) & ad(u), the rule by which each move kind admits a clique C
-# of line-neighbours of v, shared by the enumeration and valid_move.
+# of line-neighbours of v. The move generator (_moves) alone applies it;
+# valid_move asks the generator.
 # Turn-line: C avoids u, C \ N is nonempty (otherwise the class does not
 # change), and C & N separates C \ N from N \ C inside g[nb(v)].
 _ADMITS: dict[MoveKind, Callable[..., bool]] = {
@@ -194,12 +194,10 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
     Each kind first needs its edge: insert needs u and v non-adjacent
     (VerticesAdjacent; GraphError when u == v), delete an arrow u -> v or a
     line u - v (NotAnEdge), turn-line a line u - v (NotALine) and
-    turn-arrow an arrow v -> u (NotAnArrow). C must then be a clique of
-    line-neighbours of v that the kind's rule (_ADMITS) admits. Insert also
-    needs every partially directed path from v to u to pass through C, and
-    turn-arrow every such path other than the arrow itself to pass through
-    C or nb(u). A u, v or member of C that is not a vertex id of g raises
-    GraphError.
+    turn-arrow an arrow v -> u (NotAnArrow). C must then be one of the
+    cliques of line-neighbours of v that the move generator (_moves) yields
+    for the pair, and the move's paths must be clear (_paths_clear). A u, v
+    or member of C that is not a vertex id of g raises GraphError.
     """
     C = frozenset(C)
     _check_vertices(g, (u, v, *C))
@@ -216,10 +214,15 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
             raise NotALine(f"no line {u} - {v}")
     elif not g.has_arrow(v, u):
         raise NotAnArrow(f"no arrow {v} -> {u}")
-    nb_v = frozenset(g._nb[v])
-    N = nb_v & g.adjacent(u)
-    if not (C <= nb_v and _clique_of_lines(g, C) and _ADMITS[kind](g, nb_v, N, u, C)):
-        return False
+    generated = (c for *_, c in _moves(g, (kind,), vertices=(v,), partners=(u,)))
+    return C in generated and _paths_clear(kind, g, u, v, C)
+
+
+def _paths_clear(kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]) -> bool:
+    """The path rule of a move whose C its kind's rule admits: an insert needs
+    every partially directed path from v to u to pass through C, and a
+    turn-arrow every such path other than the arrow itself to pass through
+    C or nb(u); the other kinds have none."""
     if kind is MoveKind.INSERT:
         return not has_path(g, v, u, forbidden=C)
     if kind is MoveKind.TURN_ARROW:
@@ -310,9 +313,13 @@ def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
 
     The representative orients v's chain component by a lexicographic BFS
     seeded (C, v): (C, u, v) for a delete of a line, and (C, v, u) for a
-    turn-line, which for a valid move provably realizes the in-neighbourhoods
-    C at v and (C & N) | {v} at u (verified). A turn-arrow first orients u's
-    component from u, so that only v points into u.
+    turn-line, which for a valid move realizes the in-neighbourhoods C at v
+    and (C & N) | {v} at u: C - N is nonempty and u is adjacent to none of
+    it, so once C is emitted the BFS emits v before u (verified by
+    tests/test_operator_oracle.py, which compares the reached classes with
+    brute force over the members, and by acceptance criterion 5). A
+    turn-arrow first orients u's component from u, so that only v points
+    into u.
     """
     kind, u, v, C = move.kind, move.u, move.v, move.C
     if not valid_move(kind, g, u, v, C):
@@ -329,12 +336,6 @@ def apply_move(g: Graph, move: MoveCandidate, fam: TargetFamily) -> Graph:
         seed = [v]
     comp = component_of(g, v)
     _orient_component(h, comp, lexbfs(sorted(C) + seed, g, comp))
-    if kind is MoveKind.TURN_LINE:
-        want_u = (C & (g._nb[v] & g.adjacent(u))) | {v}
-        if h._pa[v] & comp != C or h._pa[u] & comp != want_u:
-            raise InvalidMove(
-                f"no representative realizes turn_line ({u}, {v}, {sorted(C)})"
-            )
     return replace_unprotected(_edit(h, move), fam)
 
 
@@ -475,9 +476,10 @@ def best_move(
     """Best strictly improving valid move of one phase, or None.
 
     Candidates are sorted by delta (descending) with the lexicographic key
-    as tie-break; the expensive path conditions are only checked on this
-    sorted walk, best first. The cache keeps one ranking per phase and
-    max_degree (ScoreCache.rankings): a call rebuilds only the candidates
+    as tie-break; the enumeration has applied every rule but the path rule,
+    which is checked (_paths_clear) only on this sorted walk, best first.
+    The cache keeps one ranking per phase and max_degree
+    (ScoreCache.rankings): a call rebuilds only the candidates
     of the vertices that changed since the ranking's last call or have a
     changed neighbour, and re-scores the pairs whose u changed
     (_Ranking.refresh). Without a cache, the call scores through one fresh
@@ -496,9 +498,9 @@ def best_move(
     ranked = sorted(
         (c for cs in ranking.positive for c in cs), key=attrgetter("rank")
     )
-    # the enumeration checked every condition except the path conditions of
-    # insert and turn-arrow, which valid_move checks here on the ranked walk
-    return next((c for c in ranked if valid_move(c.kind, g, c.u, c.v, c.C)), None)
+    # the enumeration checked every condition except the path rule, which is
+    # checked here on the ranked walk only
+    return next((c for c in ranked if _paths_clear(c.kind, g, c.u, c.v, c.C)), None)
 
 
 # -- driver -----------------------------------------------------------------

@@ -82,7 +82,9 @@ class SimConfig:
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
     """DAG with each forward edge of a uniformly shuffled vertex order
-    present independently with probability s."""
+    present independently with probability s. A p that is not an integer
+    raises InvalidSimConfig."""
+    _check_limit("p", p, error=InvalidSimConfig)
     forward = [
         (i, j)
         for i in range(1, p + 1)
@@ -113,7 +115,10 @@ def random_targets(
 ) -> TargetFamily:
     """The observational target plus k distinct uniformly drawn targets of
     size m. The only target of size 0 is the observational one, so k > 0
-    needs m > 0."""
+    needs m > 0. A p, k or m that is not an integer raises
+    InvalidSimConfig."""
+    for name, value in (("p", p), ("k", k), ("m", m)):
+        _check_limit(name, value, error=InvalidSimConfig)
     if k < 0 or m < 0 or (k > 0 and (m == 0 or m > p or comb(p, m) < k)):
         raise InfeasibleTargets(
             f"cannot draw {k} distinct targets of size {m} besides the "
@@ -147,7 +152,9 @@ def sample(
     i mod len(fam), so group sizes differ by at most one, and n must reach
     len(fam) so that every member labels a row). Each group is
     generated in topological order; intervened coordinates are independent
-    draws from N(level_mean, level_sd^2)."""
+    draws from N(level_mean, level_sd^2). An n that is not an integer
+    raises InvalidSimConfig."""
+    _check_limit("n", n, error=InvalidSimConfig)
     if not len(fam):
         raise InfeasibleTargets("family must contain at least one target")
     if n < len(fam):

@@ -111,6 +111,13 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+@pytest.mark.parametrize("p", [True, 3.0, "3", None], ids=repr)
+def test_graph_rejects_a_vertex_count_that_is_not_an_integer(p):
+    # True once built p=True, and 3.0 raised a bare TypeError
+    with pytest.raises(GraphError, match=f"^vertex count must be an integer, got {p!r}$"):
+        Graph(p)
+
+
 def test_graph_merges_conflicting_pair_specs_into_a_line():
     # both orientations of a pair, or arrow plus line, collapse to a line
     assert Graph(3, arrows=[(1, 2), (2, 1)]) == Graph(3, lines=[(1, 2)])

@@ -187,6 +187,24 @@ def test_markov_equivalent_requires_conservative_family():
         markov_equivalent(d, Dag(3), cases.FAM_OBS)
 
 
+# a directed cycle and a line, which both functions once took for DAGs: the
+# cycle's essential graph was the undirected triangle, the line came back
+# unchanged, and the cycle was equivalent to 1 -> 2 -> 3, 1 -> 3
+NOT_DAGS = [
+    (Graph(3, arrows=[(1, 2), (2, 3), (3, 1)]), "an acyclic graph, got a directed cycle"),
+    (Graph(3, lines=[(1, 2)]), "a fully directed graph, got the line 1 - 2"),
+]
+
+
+@pytest.mark.parametrize("g, why", NOT_DAGS, ids=["cycle", "line"])
+def test_markov_equivalent_names_the_line_or_cycle_of_either_graph(g, why):
+    d = Dag(3, arrows=[(1, 2), (2, 3), (1, 3)])
+    for args, name in (((g, d), "d1"), ((d, g), "d2")):
+        with pytest.raises(GraphError) as exc:
+            markov_equivalent(*args, cases.FAM_OBS)
+        assert str(exc.value) == f"markov_equivalent requires {why} in {name}"
+
+
 def test_markov_equivalent_exhaustive_p3():
     fams = [((),), ((), (1,)), ((1,), (2,), (3,))]
     dags = [Dag(3, arrows=a) for a in oracles.all_dag_arrow_sets(3)]
@@ -255,6 +273,13 @@ def test_essential_graph_fixture():
     assert e.graph == cases.eg_7v_t4()
     assert e.targets == cases.FAM_T4
     assert e.p == 7
+
+
+@pytest.mark.parametrize("g, why", NOT_DAGS, ids=["cycle", "line"])
+def test_essential_graph_names_the_line_or_cycle(g, why):
+    with pytest.raises(GraphError) as exc:
+        essential_graph(g, cases.FAM_OBS)
+    assert str(exc.value) == f"essential_graph requires {why}"
 
 
 def test_essential_graph_under_richer_families_orients_more():
@@ -375,6 +400,13 @@ def test_enumerate_representatives_respects_limit():
 def test_enumerate_representatives_rejects_a_limit_below_one(graph, limit):
     with pytest.raises(GraphError, match=f"^limit must be >= 1, got {limit}$"):
         enumerate_representatives(graph, limit=limit)
+
+
+@pytest.mark.parametrize("limit", [1.5, True, "2"], ids=repr)
+def test_enumerate_representatives_rejects_a_limit_that_is_not_an_integer(limit):
+    # 1.5 and True once ran, the first with "exceeds limit of 1.5 DAGs"
+    with pytest.raises(GraphError, match=f"^limit must be an integer, got {limit!r}$"):
+        enumerate_representatives(Graph(3, lines=[(1, 2)]), limit=limit)
 
 
 @given(dag4_arrows, families4)

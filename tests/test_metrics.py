@@ -11,6 +11,7 @@ import oracles
 from gieskit import (
     EvaluationReport,
     Graph,
+    GraphError,
     ShdBreakdown,
     SizeMismatch,
     count_non_essential,
@@ -113,6 +114,17 @@ def test_evaluate_perfect_estimate():
     rep = evaluate(eg.graph, truth, cases.FAM_T4)
     assert rep.shd_vs_essential == 0
     assert rep.breakdown.shd == rep.non_essential_true == 4
+
+
+@pytest.mark.parametrize("truth, why", [
+    (Graph(3, arrows=[(1, 2), (2, 3), (3, 1)]), "an acyclic graph, got a directed cycle"),
+    (Graph(3, lines=[(1, 2)]), "a fully directed graph, got the line 1 - 2"),
+], ids=["cycle", "line"])
+def test_evaluate_names_the_line_or_cycle_of_the_truth(truth, why):
+    # a 3-cycle truth once gave a report
+    with pytest.raises(GraphError) as exc:
+        evaluate(Graph(3), truth, cases.FAM_OBS)
+    assert str(exc.value) == f"evaluate requires {why} in the truth"
 
 
 @given(st.integers(0, 3))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -310,6 +314,28 @@ def test_a_key_outside_the_dataset_is_rejected_before_any_fit(v, parents, wrong)
     # nothing fitted, memoized or counted for the rejected calls
     assert list(cache.memo) == [(3, frozenset())]
     assert (cache.misses, cache.hits) == (1, 0)
+
+
+def test_a_key_of_ids_that_do_not_compare_names_the_same_parent_under_any_hash_seed():
+    # a frozenset of strings iterates in an order set by string hashing;
+    # the message must not follow it
+    code = (
+        "import numpy as np; from gieskit import InterventionalDataset, local_score\n"
+        "data = InterventionalDataset(np.eye(3), [()] * 3)\n"
+        "try: local_score(1, frozenset({2, 'a', 'b'}), data)\n"
+        "except ValueError as exc: print(exc)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert outs == {
+        "key (vertex 1, parents ['a', 'b', 2]): parent 'a' is not an integer vertex id\n"
+    }
 
 
 @pytest.mark.parametrize("bad", [0, 6, -1, 1.5, 2.0, True], ids=repr)

@@ -250,6 +250,26 @@ def test_sim_config_rejects_non_integer_counts(field, value):
         SimConfig(**params)
 
 
+_MODEL2 = random_model(Dag(2, arrows=[(1, 2)]), substream(1))
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda x: random_dag(x, 0.5, substream(1)), "p", 2.5),
+    (lambda x: random_dag(x, 0.5, substream(1)), "p", True),
+    (lambda x: random_targets(x, 1, 1, substream(1)), "p", 4.0),
+    (lambda x: random_targets(4, x, 1, substream(1)), "k", 1.5),
+    (lambda x: random_targets(4, 1, x, substream(1)), "m", True),
+    (lambda x: sample(_MODEL2, TargetFamily([()]), x, substream(2)), "n", 1.5),
+    (lambda x: sample(_MODEL2, TargetFamily([()]), x, substream(2)), "n", True),
+], ids=["random_dag-p", "random_dag-p-bool", "random_targets-p", "random_targets-k",
+        "random_targets-m", "sample-n", "sample-n-bool"])
+def test_scenario_parts_reject_counts_that_are_not_integers(call, name, value):
+    # random_targets once drew two targets for k = 1.5 and random_dag built
+    # a graph with p = True; the others raised bare TypeErrors
+    with pytest.raises(InvalidSimConfig, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("replicate", [1.5, True, "1"])
 def test_simulate_rejects_a_non_integer_replicate(replicate):
     with pytest.raises(InvalidSimConfig, match=f"^replicate must be an integer, got {replicate!r}$"):
