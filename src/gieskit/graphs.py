@@ -101,7 +101,7 @@ class Graph:
         lines: Iterable[tuple[int, int]] = (),
     ):
         _check_limit("vertex count", p, 0)
-        self.p = p
+        p = self.p = int(p)  # e.g. a numpy integer, which JSON cannot write
         self._pa: list[set[int]] = [set() for _ in range(p + 1)]
         self._ch: list[set[int]] = [set() for _ in range(p + 1)]
         self._nb: list[set[int]] = [set() for _ in range(p + 1)]

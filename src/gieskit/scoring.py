@@ -276,9 +276,10 @@ class ScoreCache:
     """Memo of local scores keyed by (vertex, parent set), bound to one
     dataset. A key that cannot be scored keeps its error, so a later lookup
     raises it again without a refit. `misses` counts the keys scored,
-    `hits` the lookups served from the memo. `rankings` holds the search's
-    ranking of each (phase, max_degree) scored against this cache
-    (search.best_move), so a ranking never meets other data, another
+    `hits` only the local_score lookups served from the memo: the search
+    reads the memo directly after its fill, uncounted. `rankings` holds
+    the search's ranking of each (phase, max_degree) scored against this
+    cache (search.best_move), so a ranking never meets other data, another
     penalty or another vertex count."""
 
     def __init__(self, data: InterventionalDataset, penalty: str = "total"):

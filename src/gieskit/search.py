@@ -20,16 +20,18 @@ backward (deletes) and turning; the outer loop continues while backward or
 turning still improve. One generator lists the moves of every phase,
 visiting each v once. The local-score keys of all the moves of a call are
 scored in one cache fill (`ScoreCache.fill`, one stacked fit), and every
-delta is then formed from the memo. The candidates are ranked by delta;
+delta is then read straight from the memo, with no `local_score` call; an
+insert's base key (v, pa(v) | C) is built once per (v, C). Only strictly
+positive deltas can be accepted, so a candidate object (`MoveCandidate`)
+exists only for a positive delta. The candidates are ranked by delta;
 exact ties fall back to the lexicographic key (kind, v, u, sorted C),
 computed once per candidate, so runs are deterministic. Every candidate
 already meets its edge and clique rules, so the ranked walk checks only the
-path rule (`_paths_clear`), and only strictly positive deltas are
-accepted. A move changes the pa/nb/ch sets of a few vertices (D), so the
-score cache keeps one ranking per phase and max_degree, which `best_move`
-brings up to date by diffing those sets: it rebuilds the candidates of
-each v in D or with a neighbour in D, and for every other v re-scores only
-the pairs (u, v) with u in D. The same driver runs the DAG-space search
+path rule (`_paths_clear`). A move changes the pa/nb/ch sets of a few
+vertices (D), so the score cache keeps one ranking per phase and
+max_degree, which `best_move` brings up to date by diffing those sets: it
+rebuilds the candidates of each v in D or with a neighbour in D, and for
+every other v re-scores only the pairs (u, v) with u in D. The same driver runs the DAG-space search
 of `baselines.gds`: a DAG is a graph without lines, on which every C is
 empty, the candidates are exactly the single-arrow insertions, deletions
 and reversals, and `_edit` alone applies a move.
@@ -74,6 +76,7 @@ from .scoring import (
     UNFITTABLE,
     InterventionalDataset,
     ScoreCache,
+    ScoringError,
     _bound_cache,
     _check_vertex_count,
     local_score,
@@ -239,10 +242,10 @@ def _paths_clear(kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]) ->
 def _move_keys(
     kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]
 ) -> tuple[tuple[int, frozenset[int]], ...]:
-    """The local-score keys of a move's delta, in the order move_delta
-    reads them: with B = pa(v) | C, (v, B | {u}) and (v, B - {u}); a turn
-    adds (u, P - {v}) and (u, P | {v}), with P = pa(u) | (C & N) for a
-    turn-line and P = pa(u) for a turn-arrow."""
+    """The local-score keys of a move's delta, in the order _delta reads
+    them: with B = pa(v) | C, (v, B | {u}) and (v, B - {u}); a turn adds
+    (u, P - {v}) and (u, P | {v}), with P = pa(u) | (C & N) for a turn-line
+    and P = pa(u) for a turn-arrow."""
     B = frozenset(g._pa[v]) | C
     keys = ((v, B | {u}), (v, B - {u}))
     if kind is MoveKind.INSERT or kind is MoveKind.DELETE:
@@ -253,15 +256,9 @@ def _move_keys(
     return keys + ((u, P - {v}), (u, P | {v}))
 
 
-def _delta(
-    kind: MoveKind,
-    keys: tuple[tuple[int, frozenset[int]], ...],
-    data: InterventionalDataset,
-    cache: ScoreCache,
-) -> float:
-    """The delta of a move from its keys (_move_keys): the first score of
-    each pair minus the second, negated for a delete."""
-    s = [local_score(w, P, data, cache=cache) for w, P in keys]
+def _delta(kind: MoveKind, s: list[float]) -> float:
+    """The delta of a move from the scores of its keys (_move_keys): the
+    first score of each pair minus the second, negated for a delete."""
     # one subtraction, like fsum, rounds the exact difference once
     if kind is MoveKind.INSERT:
         return s[0] - s[1]
@@ -291,7 +288,8 @@ def move_delta(
     C = frozenset(C)
     _check_vertices(g, (u, v, *C))
     cache = _bound_cache(data, cache)
-    return _delta(kind, _move_keys(kind, g, u, v, C), data, cache)
+    keys = _move_keys(kind, g, u, v, C)
+    return _delta(kind, [local_score(w, P, data, cache=cache) for w, P in keys])
 
 
 # -- application ------------------------------------------------------------
@@ -395,21 +393,37 @@ def _moves(
 def _scored(
     g: Graph,
     moves: Iterable[tuple[MoveKind, int, int, frozenset[int]]],
-    data: InterventionalDataset,
     cache: ScoreCache,
 ) -> Iterator[MoveCandidate]:
-    """The moves as scored candidates, in order; moves that cannot be fitted
-    are skipped. One cache fill scores every key the moves need, so each
-    delta is formed from memo hits."""
+    """The moves with a positive delta as candidates, in order. One cache
+    fill scores every key the moves need, and each delta is then read from
+    the memo. The first of a move's keys (in _move_keys order) that holds an
+    error decides: an UNFITTABLE one skips the move, and any other is raised
+    as a copy, as local_score does."""
     moves = list(moves)
-    keys = [_move_keys(kind, g, u, v, C) for kind, u, v, C in moves]
+    keys = []
+    last = None  # the (v, C) of the last insert; base is its (v, pa(v) | C)
+    for kind, u, v, C in moves:
+        if kind is MoveKind.INSERT:
+            # u is outside B = pa(v) | C, so B - {u} is B: one base key per (v, C)
+            if last != (v, C):
+                last, base = (v, C), (v, frozenset(g._pa[v]) | C)
+            keys.append(((v, base[1] | {u}), base))
+        else:
+            keys.append(_move_keys(kind, g, u, v, C))
     cache.fill(chain.from_iterable(keys))
+    memo = cache.memo
     for (kind, u, v, C), move_keys in zip(moves, keys):
+        scores = [memo[key] for key in move_keys]
         try:
-            delta = _delta(kind, move_keys, data, cache)
-        except UNFITTABLE:
-            continue
-        yield MoveCandidate(kind, u, v, C, delta)
+            delta = _delta(kind, scores)
+        except TypeError:  # the arithmetic met a memoized ScoringError
+            err = next(s for s in scores if isinstance(s, ScoringError))
+            if isinstance(err, UNFITTABLE):
+                continue
+            raise type(err)(*err.args) from None
+        if delta > 0.0:
+            yield MoveCandidate(kind, u, v, C, delta)
 
 
 class _Ranking:
@@ -417,7 +431,7 @@ class _Ranking:
     one cache (its key in ScoreCache.rankings): the pa/nb/ch sets of each
     vertex at the last call, and the candidates with a positive delta per
     v built from them. A fresh ranking has no sets, so its first call finds
-    every vertex changed and builds every candidate."""
+    every vertex changed and scores every move."""
 
     def __init__(self, p: int):
         self.sets: list[tuple | None] = [None] * (p + 1)
@@ -427,7 +441,6 @@ class _Ranking:
         self,
         g: Graph,
         kinds: tuple[MoveKind, ...],
-        data: InterventionalDataset,
         cache: ScoreCache,
         max_degree: int | None,
     ) -> None:
@@ -458,9 +471,8 @@ class _Ranking:
             _moves(g, kinds, max_degree, rebuild),
             _moves(g, kinds, max_degree, keep, changed),
         )
-        for c in _scored(g, moves, data, cache):
-            if c.delta > 0.0:
-                positive[c.v].append(c)
+        for c in _scored(g, moves, cache):
+            positive[c.v].append(c)
         self.positive = positive
         for x in changed:
             self.sets[x] = tuple(map(frozenset, (g._pa[x], g._nb[x], g._ch[x])))
@@ -494,7 +506,7 @@ def best_move(
     ranking = cache.rankings.get((phase, max_degree))
     if ranking is None:
         ranking = cache.rankings[phase, max_degree] = _Ranking(data.p)
-    ranking.refresh(g, kinds, data, cache, max_degree)
+    ranking.refresh(g, kinds, cache, max_degree)
     ranked = sorted(
         (c for cs in ranking.positive for c in cs), key=attrgetter("rank")
     )

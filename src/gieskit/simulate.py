@@ -70,8 +70,7 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("p", 1), ("k", None), ("m", None), ("n", None), ("seed", 0)):
             _check_limit(name, getattr(self, name), least, InvalidSimConfig)
-        if not 0.0 <= self.s <= 1.0:  # NaN fails every comparison
-            raise InvalidSimConfig(f"s must lie in [0, 1], got {self.s}")
+        _check_s(self.s)
         if not isfinite(self.level_mean):
             raise InvalidSimConfig(f"level_mean must be finite, got {self.level_mean}")
         if not 0.0 <= self.level_sd < inf:
@@ -80,11 +79,19 @@ class SimConfig:
             )
 
 
+def _check_s(s: float) -> None:
+    """A scenario's edge probability lies in [0, 1]: else InvalidSimConfig."""
+    if not 0.0 <= s <= 1.0:  # NaN fails every comparison
+        raise InvalidSimConfig(f"s must lie in [0, 1], got {s}")
+
+
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
     """DAG with each forward edge of a uniformly shuffled vertex order
     present independently with probability s. A p that is not an integer
-    raises InvalidSimConfig."""
-    _check_limit("p", p, error=InvalidSimConfig)
+    >= 1, or an s outside [0, 1], raises InvalidSimConfig as SimConfig
+    does."""
+    _check_limit("p", p, 1, InvalidSimConfig)
+    _check_s(s)
     forward = [
         (i, j)
         for i in range(1, p + 1)
@@ -115,10 +122,10 @@ def random_targets(
 ) -> TargetFamily:
     """The observational target plus k distinct uniformly drawn targets of
     size m. The only target of size 0 is the observational one, so k > 0
-    needs m > 0. A p, k or m that is not an integer raises
-    InvalidSimConfig."""
-    for name, value in (("p", p), ("k", k), ("m", m)):
-        _check_limit(name, value, error=InvalidSimConfig)
+    needs m > 0. A p that is not an integer >= 1, or a k or m that is not
+    an integer, raises InvalidSimConfig."""
+    for name, value, least in (("p", p, 1), ("k", k, None), ("m", m, None)):
+        _check_limit(name, value, least, InvalidSimConfig)
     if k < 0 or m < 0 or (k > 0 and (m == 0 or m > p or comb(p, m) < k)):
         raise InfeasibleTargets(
             f"cannot draw {k} distinct targets of size {m} besides the "

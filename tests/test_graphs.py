@@ -452,6 +452,14 @@ def test_a_graph_stores_integral_ids_as_ints():
     assert Graph.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize("cls", [Graph, Dag])
+def test_a_graph_stores_an_integral_vertex_count_as_an_int(cls):
+    # a numpy vertex count was once kept, and to_json then raised TypeError
+    g = cls(np.int64(3), arrows=[(1, 2)])
+    assert type(g.p) is int and type(g.copy().p) is int
+    assert cls.from_json(g.to_json()) == g
+
+
 def test_is_perfect_elimination_fixture():
     g = cases.chordal_7v()
     assert is_perfect_elimination(cases.LEXBFS_ORDER, g)

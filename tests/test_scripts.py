@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gieskit import SimConfig, dp_exact, gds, gies, simulate
 from gieskit.cli import SWEEP_COLUMNS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -49,11 +50,16 @@ def test_script_rejects_an_empty_grid(tmp_path, script, flag):
     assert not out.exists()
 
 
-def _bench_record():
-    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+def _load(path: Path):
+    """The module at path, imported under its file name."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_record():
+    return _load(SCRIPTS / "bench_record.py")
 
 
 def test_bench_record_alternates_the_one_off_timings():
@@ -120,10 +126,7 @@ def test_bench_record_keeps_each_runs_cpu_time_and_page_faults(tmp_path):
 
 
 def _library_size():
-    spec = importlib.util.spec_from_file_location("library_size", SCRIPTS / "library_size.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(SCRIPTS / "library_size.py")
 
 
 def test_library_size_counts_code_lines_only(tmp_path):
@@ -157,3 +160,33 @@ def test_library_size_counts_code_lines_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["a.py", "6", "sub/b.py", "3", "total", "9"]
     assert _library_size().code_lines("") == 0
+
+
+# The counts that CI's traced seed-0 step requires above 0, per workload's
+# learner: perfbench/tracing.py patches module globals (search.best_move,
+# search.has_path, search.local_score, search.MoveCandidate, ...), so a
+# refactor that stops calling one of them drops its layer from the trace.
+TRACED_COUNTS = {
+    "search.gies": (gies, ("graphs.has_path.calls", "search.lazy_checks", "search.candidates",
+                           "scoring.local_score.calls", "search.best_move.calls")),
+    "baselines.gds": (gds, ("search.best_move.calls", "search.candidates",
+                            "search.lazy_checks", "scoring.local_score.calls")),
+    "baselines.dp_exact": (dp_exact, ("scoring.local_score.calls",)),
+}
+
+
+@pytest.mark.parametrize("root", list(TRACED_COUNTS))
+def test_the_tracer_sees_every_layer_that_ci_requires(root):
+    tracing = _load(SCRIPTS.parent / "perfbench" / "tracing.py")
+    learner, required = TRACED_COUNTS[root]
+    sim = simulate(SimConfig(p=6, s=0.5, k=2, m=1, n=300, seed=3))
+    tracer, setup = tracing.Tracer(), tracing.Tracer()
+    for name in ("scoring.read_csv", "scoring.check_family"):
+        setup.span(name, lambda: None)()
+    with tracer.patched():
+        res = tracer.span(root, learner)(sim.data, sim.fam)
+    root_id = next(s[0] for s in tracer.spans if s[1] == 0)
+    steps = getattr(res, "steps", 0)
+    metrics = tracing.per_layer(tracer, root_id, steps, setup, 0.0, 1.0, 1.0)
+    counts = {name: metrics[name][0] for name in required}
+    assert min(counts.values()) > 0, counts

@@ -16,9 +16,11 @@ import gieskit
 import oracles
 from gieskit import (
     Dag,
+    DegenerateFit,
     GiesOptions,
     Graph,
     GraphError,
+    InsufficientSamples,
     InvalidMove,
     MoveCandidate,
     MoveKind,
@@ -29,6 +31,7 @@ from gieskit import (
     ScoreCache,
     ScoringError,
     SimConfig,
+    SingularDesign,
     TargetFamily,
     VerticesAdjacent,
     apply_move,
@@ -49,7 +52,8 @@ from gieskit import (
     total_score,
     valid_move,
 )
-from gieskit.search import _ADMITS, _PHASE_KINDS, _moves, _scored
+from gieskit.scoring import UNFITTABLE
+from gieskit.search import _ADMITS, _PHASE_KINDS, _move_keys, _moves, _scored
 
 dag4_arrows = st.sampled_from(oracles.all_dag_arrow_sets(4))
 families4 = st.lists(
@@ -57,6 +61,7 @@ families4 = st.lists(
 ).map(lambda ts: [()] + ts)
 
 SIM6 = simulate(SimConfig(p=6, s=0.35, k=3, m=1, n=3000, seed=7))
+SIM3 = simulate(SimConfig(p=3, s=0.5, k=0, m=1, n=50, seed=1))
 
 
 # -- move candidates -----------------------------------------------------------
@@ -250,26 +255,66 @@ def test_moves_change_the_class(arrows, targets):
 
 
 @settings(max_examples=25)
-@given(dag4_arrows, families4, st.integers(0, 2**16))
-def test_candidates_are_the_valid_moves_with_their_deltas(arrows, targets, seed):
-    # the generator, after the deferred path checks, yields each valid move
-    # of a phase exactly once, scored exactly as move_delta does
+@given(dag4_arrows, dag4_arrows, families4, st.integers(0, 2**16))
+def test_candidates_are_the_valid_moves_with_their_deltas(arrows, truth, targets, seed):
+    # the scorer yields each generated move with a positive delta exactly
+    # once, scored exactly as move_delta does, and no other move; after the
+    # deferred path checks these are the valid moves with a positive delta.
+    # The data come from another DAG, so that many deltas are positive
     fam = TargetFamily(targets)
-    model = random_model(Dag(4, arrows=arrows), substream(seed, 0))
+    model = random_model(Dag(4, arrows=truth), substream(seed, 0))
     data = sample(model, fam, 240, substream(seed, 1))
     cache = ScoreCache(data)
     e = essential_graph(Dag(4, arrows=arrows), fam).graph
     brute = _all_valid_moves(e)
     for phase, kinds in _PHASE_KINDS.items():
-        got = [
-            c for c in _scored(e, _moves(e, kinds), data, cache)
-            if valid_move(c.kind, e, c.u, c.v, c.C)
-        ]
-        moves = [(c.kind, c.u, c.v, c.C) for c in got]
-        assert len(set(moves)) == len(moves), phase
-        assert set(moves) == {m for m in brute if m[0] in kinds}, phase
-        for c in got:
-            assert c.delta == DELTAS[c.kind](e, c.u, c.v, c.C, data, cache), c
+        got = {}
+        for c in _scored(e, _moves(e, kinds), cache):
+            move = (c.kind, c.u, c.v, c.C)
+            assert move not in got, (phase, move)
+            got[move] = c.delta
+        deltas = {}
+        for kind, u, v, C in _moves(e, kinds):
+            try:
+                deltas[kind, u, v, C] = DELTAS[kind](e, u, v, C, data, cache)
+            except UNFITTABLE:
+                pass
+        positive = {m: d for m, d in deltas.items() if d > 0.0}
+        # == on floats: each delta must be bitwise move_delta's
+        assert got == positive, phase
+        valid = {m for m in brute if m[0] in kinds and deltas[m] > 0.0}
+        assert {m for m in got if valid_move(*m[:1], e, *m[1:])} == valid, phase
+
+
+@pytest.mark.parametrize("kind, errors, raised", [
+    # (v, B | {u}) first, then (v, B); a turn adds (u, P - {v}), (u, P | {v})
+    (MoveKind.INSERT, (SingularDesign, DegenerateFit), None),
+    (MoveKind.INSERT, (DegenerateFit, SingularDesign), DegenerateFit),
+    (MoveKind.INSERT, (None, InsufficientSamples), None),
+    (MoveKind.INSERT, (None, DegenerateFit), DegenerateFit),
+    (MoveKind.TURN_ARROW, (None, None, DegenerateFit, SingularDesign), DegenerateFit),
+    (MoveKind.TURN_ARROW, (None, None, None, InsufficientSamples), None),
+], ids=["unfittable-first", "degenerate-first", "unfittable-base", "degenerate-base",
+        "turn-degenerate-first", "turn-unfittable"])
+def test_the_first_erroring_key_decides_a_move(kind, errors, raised):
+    # the memo holds an error per key; the first key in _move_keys order
+    # that holds one skips the move (UNFITTABLE) or raises a copy of it
+    g = Graph(3, arrows=[(3, 1)])
+    u, v = (1, 3) if kind is MoveKind.TURN_ARROW else (2, 1)
+    cache = ScoreCache(SIM3.data)
+    keys = _move_keys(kind, g, u, v, frozenset())
+    for key, error in zip(keys, errors):
+        cache.memo[key] = error(f"{key}") if error else 0.5 * len(key[1])
+    moves = [(kind, u, v, frozenset())]
+    if raised is None:
+        assert list(_scored(g, moves, cache)) == []
+        return
+    with pytest.raises(raised) as info:
+        list(_scored(g, moves, cache))
+    first = keys[errors.index(raised)]
+    assert str(info.value) == f"{first}"
+    assert info.value is not cache.memo[first]
+    assert cache.memo[first].__traceback__ is None
 
 
 # The per-kind delta formulas that search.move_delta replaced, kept as its
@@ -512,7 +557,7 @@ def _positive(ranking):
 
 def _full_positive(g, phase, data, cache, max_degree=None):
     moves = _moves(g, _PHASE_KINDS[phase], max_degree)
-    return [c for c in _scored(g, moves, data, cache) if c.delta > 0.0]
+    return [c for c in _scored(g, moves, cache) if c.delta > 0.0]
 
 
 @settings(max_examples=10, deadline=None)

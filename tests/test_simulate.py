@@ -270,6 +270,22 @@ def test_scenario_parts_reject_counts_that_are_not_integers(call, name, value):
         call(value)
 
 
+@pytest.mark.parametrize("call, field, value", [
+    (lambda x: random_dag(x, 0.5, substream(1)), "p", 0),
+    (lambda x: random_dag(3, x, substream(1)), "s", 1.5),
+    (lambda x: random_dag(3, x, substream(1)), "s", -0.5),
+    (lambda x: random_dag(3, x, substream(1)), "s", math.nan),
+    (lambda x: random_targets(x, 0, 0, substream(1)), "p", -1),
+    (lambda x: random_targets(x, 0, 0, substream(1)), "p", 0),
+], ids=["random_dag-p", "random_dag-s-above", "random_dag-s-below", "random_dag-s-nan",
+        "random_targets-p-negative", "random_targets-p-zero"])
+def test_scenario_parts_apply_the_config_ranges(call, field, value):
+    # random_dag(3, 1.5) once returned the complete DAG, random_dag(3, nan)
+    # an empty one, and random_targets(-1, 0, 0) the family [[]]
+    with pytest.raises(InvalidSimConfig, match=f"^{field} must"):
+        call(value)
+
+
 @pytest.mark.parametrize("replicate", [1.5, True, "1"])
 def test_simulate_rejects_a_non_integer_replicate(replicate):
     with pytest.raises(InvalidSimConfig, match=f"^replicate must be an integer, got {replicate!r}$"):
