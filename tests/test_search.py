@@ -61,7 +61,6 @@ families4 = st.lists(
 ).map(lambda ts: [()] + ts)
 
 SIM6 = simulate(SimConfig(p=6, s=0.35, k=3, m=1, n=3000, seed=7))
-SIM3 = simulate(SimConfig(p=3, s=0.5, k=0, m=1, n=50, seed=1))
 
 
 # -- move candidates -----------------------------------------------------------
@@ -282,8 +281,11 @@ def test_candidates_are_the_valid_moves_with_their_deltas(arrows, truth, targets
         positive = {m: d for m, d in deltas.items() if d > 0.0}
         # == on floats: each delta must be bitwise move_delta's
         assert got == positive, phase
-        valid = {m for m in brute if m[0] in kinds and deltas[m] > 0.0}
-        assert {m for m in got if valid_move(*m[:1], e, *m[1:])} == valid, phase
+        valid = {m for m in brute if m in positive}
+        assert {m for m in got if valid_move(m[0], e, *m[1:])} == valid, phase
+
+
+SIM3 = simulate(SimConfig(p=3, s=0.5, k=0, m=1, n=50, seed=1))
 
 
 @pytest.mark.parametrize("kind, errors, raised", [
@@ -557,7 +559,7 @@ def _positive(ranking):
 
 def _full_positive(g, phase, data, cache, max_degree=None):
     moves = _moves(g, _PHASE_KINDS[phase], max_degree)
-    return [c for c in _scored(g, moves, cache) if c.delta > 0.0]
+    return list(_scored(g, moves, cache))
 
 
 @settings(max_examples=10, deadline=None)
