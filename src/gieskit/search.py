@@ -31,10 +31,11 @@ path rule (`_paths_clear`). A move changes the pa/nb/ch sets of a few
 vertices (D), so the score cache keeps one ranking per phase and
 max_degree, which `best_move` brings up to date by diffing those sets: it
 rebuilds the candidates of each v in D or with a neighbour in D, and for
-every other v re-scores only the pairs (u, v) with u in D. The same driver runs the DAG-space search
-of `baselines.gds`: a DAG is a graph without lines, on which every C is
-empty, the candidates are exactly the single-arrow insertions, deletions
-and reversals, and `_edit` alone applies a move.
+every other v re-scores only the pairs (u, v) with u in D. The same
+driver runs the DAG-space search of `baselines.gds`: a DAG is a graph
+without lines, on which every C is empty, the candidates are exactly the
+single-arrow insertions, deletions and reversals, and `_edit` alone
+applies a move.
 """
 
 from __future__ import annotations
