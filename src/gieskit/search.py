@@ -20,8 +20,8 @@ backward (deletes) and turning; the outer loop continues while backward or
 turning still improve. One generator lists the moves of every phase,
 visiting each v once. The local-score keys of all the moves of a call are
 scored in one cache fill (`ScoreCache.fill`, one stacked fit), and every
-delta is then read straight from the memo, with no `local_score` call; an
-insert's base key (v, pa(v) | C) is built once per (v, C). Only strictly
+delta is then read straight from the memo, with no `local_score` call;
+B = pa(v) | C is built once per (v, C), not per partner u. Only strictly
 positive deltas can be accepted, so a candidate object (`MoveCandidate`)
 exists only for a positive delta. The candidates are ranked by delta;
 exact ties fall back to the lexicographic key (kind, v, u, sorted C),
@@ -241,14 +241,14 @@ def _paths_clear(kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]) ->
 
 
 def _move_keys(
-    kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]
+    kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int], B: frozenset[int]
 ) -> tuple[tuple[int, frozenset[int]], ...]:
     """The local-score keys of a move's delta, in the order _delta reads
-    them: with B = pa(v) | C, (v, B | {u}) and (v, B - {u}); a turn adds
+    them, given B = pa(v) | C: (v, B | {u}) and (v, B - {u}); a turn adds
     (u, P - {v}) and (u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow."""
-    B = frozenset(g._pa[v]) | C
-    keys = ((v, B | {u}), (v, B - {u}))
+    # an insert's u is outside B, so its base key reuses B itself
+    keys = ((v, B | {u}), (v, B - {u} if u in B else B))
     if kind is MoveKind.INSERT or kind is MoveKind.DELETE:
         return keys
     P = frozenset(g._pa[u])
@@ -289,7 +289,7 @@ def move_delta(
     C = frozenset(C)
     _check_vertices(g, (u, v, *C))
     cache = _bound_cache(data, cache)
-    keys = _move_keys(kind, g, u, v, C)
+    keys = _move_keys(kind, g, u, v, C, frozenset(g._pa[v]) | C)
     return _delta(kind, [local_score(w, P, data, cache=cache) for w, P in keys])
 
 
@@ -402,16 +402,11 @@ def _scored(
     error decides: an UNFITTABLE one skips the move, and any other is raised
     as a copy, as local_score does."""
     moves = list(moves)
-    keys = []
-    last = None  # the (v, C) of the last insert; base is its (v, pa(v) | C)
+    keys, last = [], None
     for kind, u, v, C in moves:
-        if kind is MoveKind.INSERT:
-            # u is outside B = pa(v) | C, so B - {u} is B: one base key per (v, C)
-            if last != (v, C):
-                last, base = (v, C), (v, frozenset(g._pa[v]) | C)
-            keys.append(((v, base[1] | {u}), base))
-        else:
-            keys.append(_move_keys(kind, g, u, v, C))
+        if last != (v, C):  # the generator yields a run of partners per (v, C)
+            last, B = (v, C), frozenset(g._pa[v]) | C
+        keys.append(_move_keys(kind, g, u, v, C, B))
     cache.fill(chain.from_iterable(keys))
     memo = cache.memo
     for (kind, u, v, C), move_keys in zip(moves, keys):

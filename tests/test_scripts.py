@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,7 @@ def _load(path: Path):
     """The module at path, imported under its file name."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -162,29 +164,43 @@ def test_library_size_counts_code_lines_only(tmp_path):
     assert _library_size().code_lines("") == 0
 
 
-# The counts that CI's traced seed-0 step requires above 0, per workload's
-# learner: perfbench/tracing.py patches module globals (search.best_move,
+PERFBENCH = SCRIPTS.parent / "perfbench"
+LEARNERS = {"gies": gies, "gds": gds, "dp_exact": dp_exact}
+
+
+def _ci_traced_counts() -> dict[str, tuple[str, ...]]:
+    """The counts that CI's traced seed-0 step ("Benchmark layer counts" in
+    .github/workflows/tests.yml) requires above 0, per workload: its specs
+    are quoted lines of a workload name and then the count names."""
+    ci = (SCRIPTS.parent / ".github" / "workflows" / "tests.yml").read_text()
+    step = ci.split("Benchmark layer counts", 1)[1].split("- name:", 1)[0]
+    specs = re.findall(r'^\s*"([\w-]+) ([\w. ]+)"', step, re.MULTILINE)
+    return {w: tuple(names.split()) for w, names in specs}
+
+
+CI_TRACED_COUNTS = _ci_traced_counts()
+
+
+def test_ci_traces_every_workload():
+    assert sorted(CI_TRACED_COUNTS) == sorted(_load(PERFBENCH / "workloads.py").WORKLOADS)
+
+
+# perfbench/tracing.py patches module globals (search.best_move,
 # search.has_path, search.local_score, search.MoveCandidate, ...), so a
-# refactor that stops calling one of them drops its layer from the trace.
-TRACED_COUNTS = {
-    "search.gies": (gies, ("graphs.has_path.calls", "search.lazy_checks", "search.candidates",
-                           "scoring.local_score.calls", "search.best_move.calls")),
-    "baselines.gds": (gds, ("search.best_move.calls", "search.candidates",
-                            "search.lazy_checks", "scoring.local_score.calls")),
-    "baselines.dp_exact": (dp_exact, ("scoring.local_score.calls",)),
-}
-
-
-@pytest.mark.parametrize("root", list(TRACED_COUNTS))
-def test_the_tracer_sees_every_layer_that_ci_requires(root):
-    tracing = _load(SCRIPTS.parent / "perfbench" / "tracing.py")
-    learner, required = TRACED_COUNTS[root]
+# refactor that stops calling one of them drops its layer from the trace
+# and fails CI's traced step; this runs the same check on a tiny input.
+@pytest.mark.parametrize("workload", sorted(CI_TRACED_COUNTS))
+def test_the_tracer_sees_every_layer_that_ci_requires(workload):
+    tracing = _load(PERFBENCH / "tracing.py")
+    learner = _load(PERFBENCH / "workloads.py").WORKLOADS[workload].learner
+    root = _load(PERFBENCH / "run.py").ROOT_SPANS[learner]
+    required = CI_TRACED_COUNTS[workload]
     sim = simulate(SimConfig(p=6, s=0.5, k=2, m=1, n=300, seed=3))
     tracer, setup = tracing.Tracer(), tracing.Tracer()
     for name in ("scoring.read_csv", "scoring.check_family"):
         setup.span(name, lambda: None)()
     with tracer.patched():
-        res = tracer.span(root, learner)(sim.data, sim.fam)
+        res = tracer.span(root, LEARNERS[learner])(sim.data, sim.fam)
     root_id = next(s[0] for s in tracer.spans if s[1] == 0)
     steps = getattr(res, "steps", 0)
     metrics = tracing.per_layer(tracer, root_id, steps, setup, 0.0, 1.0, 1.0)

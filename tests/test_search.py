@@ -256,33 +256,39 @@ def test_moves_change_the_class(arrows, targets):
 @settings(max_examples=25)
 @given(dag4_arrows, dag4_arrows, families4, st.integers(0, 2**16))
 def test_candidates_are_the_valid_moves_with_their_deltas(arrows, truth, targets, seed):
-    # the scorer yields each generated move with a positive delta exactly
-    # once, scored exactly as move_delta does, and no other move; after the
-    # deferred path checks these are the valid moves with a positive delta.
-    # The data come from another DAG, so that many deltas are positive
+    # the generator yields every valid move; the scorer yields each generated
+    # move with a positive delta exactly once, scored exactly as move_delta
+    # does, and no other move; after the deferred path checks these are the
+    # valid moves of the brute-force scan with a positive delta. The data
+    # come from another DAG, so that many deltas are positive
     fam = TargetFamily(targets)
     model = random_model(Dag(4, arrows=truth), substream(seed, 0))
     data = sample(model, fam, 240, substream(seed, 1))
     cache = ScoreCache(data)
     e = essential_graph(Dag(4, arrows=arrows), fam).graph
     brute = _all_valid_moves(e)
+
+    def delta(move):
+        try:
+            return DELTAS[move[0]](e, *move[1:], data, cache)
+        except UNFITTABLE:
+            return None
+
     for phase, kinds in _PHASE_KINDS.items():
         got = {}
         for c in _scored(e, _moves(e, kinds), cache):
             move = (c.kind, c.u, c.v, c.C)
             assert move not in got, (phase, move)
             got[move] = c.delta
-        deltas = {}
-        for kind, u, v, C in _moves(e, kinds):
-            try:
-                deltas[kind, u, v, C] = DELTAS[kind](e, u, v, C, data, cache)
-            except UNFITTABLE:
-                pass
-        positive = {m: d for m, d in deltas.items() if d > 0.0}
+        generated = list(_moves(e, kinds))
+        valid = {m for m in brute if m[0] in kinds}
+        assert {m for m in generated if valid_move(m[0], e, *m[1:])} == valid, phase
+        deltas = {m: delta(m) for m in generated}
+        positive = {m: d for m, d in deltas.items() if d is not None and d > 0.0}
         # == on floats: each delta must be bitwise move_delta's
         assert got == positive, phase
-        valid = {m for m in brute if m in positive}
-        assert {m for m in got if valid_move(m[0], e, *m[1:])} == valid, phase
+        valid_positive = {m for m in valid if (d := delta(m)) is not None and d > 0.0}
+        assert {m for m in got if valid_move(m[0], e, *m[1:])} == valid_positive, phase
 
 
 SIM3 = simulate(SimConfig(p=3, s=0.5, k=0, m=1, n=50, seed=1))
@@ -304,7 +310,7 @@ def test_the_first_erroring_key_decides_a_move(kind, errors, raised):
     g = Graph(3, arrows=[(3, 1)])
     u, v = (1, 3) if kind is MoveKind.TURN_ARROW else (2, 1)
     cache = ScoreCache(SIM3.data)
-    keys = _move_keys(kind, g, u, v, frozenset())
+    keys = _move_keys(kind, g, u, v, frozenset(), frozenset(g._pa[v]))
     for key, error in zip(keys, errors):
         cache.memo[key] = error(f"{key}") if error else 0.5 * len(key[1])
     moves = [(kind, u, v, frozenset())]
