@@ -5,7 +5,6 @@ Runs `gieskit sweep` over replicated scenarios per number of targets k for
 every requested algorithm, writes its CSV rows to --out, and reports the
 median SHD to the true DAG. The sweep compares the DAG-valued estimates
 (gds, dp) by their essential graphs, as it does the class learners'.
-GIESKIT_THREADS parallelizes the rows, as for `gieskit sweep`.
 """
 
 from __future__ import annotations

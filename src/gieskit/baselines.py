@@ -50,6 +50,10 @@ class TooLarge(GraphError):
         self.p = p
         self.max_p = max_p
 
+    def __reduce__(self):
+        # rebuilt from the fields: the default pickles only the message
+        return TooLarge, (self.p, self.max_p)
+
 
 @dataclass
 class DagSearchResult:

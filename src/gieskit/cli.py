@@ -5,12 +5,11 @@ truth), fit (run a structure learner on a dataset CSV), essential (essential
 graph of a DAG), equiv (equivalence of two DAGs under a target family),
 representatives (enumerate the DAGs of a class), compare (SHD report of an
 estimate against the truth) and sweep (grid of simulate+fit+compare runs,
-one CSV row per replicate and setting; the DAG estimates of gds and dp are
-compared by their essential graphs, as the class learners' are).
+one CSV row per replicate and setting, in grid order; the DAG estimates of
+gds and dp are compared by their essential graphs, as the class learners'
+are).
 
 Errors are reported as one JSON object on stderr with a non-zero exit code.
-The GIESKIT_THREADS environment variable caps the sweep worker pool; the
-default of 1 keeps runtime columns comparable across rows.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -215,45 +213,21 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_job(job: tuple) -> dict:
-    p, s, k, m, n, algo, rep, seed = job
-    res = simulate(SimConfig(p=p, s=s, k=k, m=m, n=n, seed=seed), replicate=rep)
-    t0 = time.perf_counter()
-    graph, score, steps, _ = _run_algo(algo, res.data, res.fam, GiesOptions())
-    runtime = time.perf_counter() - t0
-    if isinstance(graph, Dag):  # gds and dp: compare the estimated class
-        graph = essential_graph(graph, res.fam).graph
-    report = evaluate(graph, res.dag, res.fam).to_dict()
-    return {
-        "p": p, "s": s, "k": k, "m": m, "n": n, "algo": algo,
-        "replicate": rep, "seed": seed,
-        "score": score, "runtime_s": runtime, "steps": steps,
-    } | report
-
-
 def cmd_sweep(args) -> int:
-    jobs = [
-        (p, s, k, m, n, algo, rep, args.seed)
-        for p in args.p
-        for s in args.s
-        for k in args.k
-        for m in args.m
-        for n in args.n
-        for algo in args.algo
-        for rep in range(args.replicates)
-    ]
-    text = os.environ.get("GIESKIT_THREADS", "1")
-    try:
-        threads = count(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(
-            f"GIESKIT_THREADS must be an integer of at least 1, got {text!r}"
-        ) from None
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            rows = list(pool.map(_sweep_job, jobs))
-    else:
-        rows = [_sweep_job(job) for job in jobs]
+    rows = []
+    grid = itertools.product(
+        args.p, args.s, args.k, args.m, args.n, args.algo, range(args.replicates)
+    )
+    for p, s, k, m, n, algo, rep in grid:
+        res = simulate(SimConfig(p=p, s=s, k=k, m=m, n=n, seed=args.seed), replicate=rep)
+        t0 = time.perf_counter()
+        graph, score, steps, _ = _run_algo(algo, res.data, res.fam, GiesOptions())
+        runtime = time.perf_counter() - t0
+        if isinstance(graph, Dag):  # gds and dp: compare the estimated class
+            graph = essential_graph(graph, res.fam).graph
+        row = dict(p=p, s=s, k=k, m=m, n=n, algo=algo, replicate=rep, seed=args.seed,
+                   score=score, runtime_s=runtime, steps=steps)
+        rows.append(row | evaluate(graph, res.dag, res.fam).to_dict())
     if args.format == "json":
         _emit(rows, args)
     else:

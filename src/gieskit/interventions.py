@@ -61,6 +61,10 @@ class TooManyRepresentatives(GraphError):
         super().__init__(f"equivalence class exceeds limit of {limit} DAGs")
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuilt from the limit: the default passes the message as the limit
+        return TooManyRepresentatives, (self.limit,)
+
 
 class TargetFamily:
     """Ordered multiset of intervention targets.

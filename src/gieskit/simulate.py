@@ -12,7 +12,8 @@ own mechanism.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import comb, inf, isfinite
+from math import comb, inf
+from numbers import Real
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class SimConfig:
     intervened vertices per target; n: total sample count; level_mean,
     level_sd: mean (finite) and standard deviation (finite, >= 0) of an
     intervened variable; seed: RNG seed (>= 0). An out-of-range p, s,
-    level_mean, level_sd or seed, or a p, k, m, n or seed that is not an
-    integer (a bool is not one), raises InvalidSimConfig naming it.
+    level_mean, level_sd or seed, a p, k, m, n or seed that is not an
+    integer, or an s, level_mean or level_sd that is not a real number (a
+    bool is neither), raises InvalidSimConfig naming it.
     """
 
     p: int
@@ -70,28 +72,27 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("p", 1), ("k", None), ("m", None), ("n", None), ("seed", 0)):
             _check_limit(name, getattr(self, name), least, InvalidSimConfig)
-        _check_s(self.s)
-        if not isfinite(self.level_mean):
-            raise InvalidSimConfig(f"level_mean must be finite, got {self.level_mean}")
-        if not 0.0 <= self.level_sd < inf:
-            raise InvalidSimConfig(
-                f"level_sd must be finite and >= 0, got {self.level_sd}"
-            )
+        for name, low, high in (("s", 0, 1), ("level_mean", -inf, inf), ("level_sd", 0, inf)):
+            _check_real(name, getattr(self, name), low, high)
 
 
-def _check_s(s: float) -> None:
-    """A scenario's edge probability lies in [0, 1]: else InvalidSimConfig."""
-    if not 0.0 <= s <= 1.0:  # NaN fails every comparison
-        raise InvalidSimConfig(f"s must lie in [0, 1], got {s}")
+def _check_real(name: str, value: object, low: float = -inf, high: float = inf) -> None:
+    """Raise InvalidSimConfig naming `name` unless value is a real number (a
+    bool is not one, as under _is_integer's rule) in [low, high] that a
+    finite float can hold."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    # NaN fails every comparison; a Python float compares exactly with any int
+    if not (real and low <= value <= high and abs(value) <= float(np.finfo(float).max)):
+        raise InvalidSimConfig(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
 
 
 def random_dag(p: int, s: float, rng: np.random.Generator) -> Dag:
     """DAG with each forward edge of a uniformly shuffled vertex order
     present independently with probability s. A p that is not an integer
-    >= 1, or an s outside [0, 1], raises InvalidSimConfig as SimConfig
-    does."""
+    >= 1, or an s that is not a real number in [0, 1], raises
+    InvalidSimConfig as SimConfig does."""
     _check_limit("p", p, 1, InvalidSimConfig)
-    _check_s(s)
+    _check_real("s", s, 0, 1)
     forward = [
         (i, j)
         for i in range(1, p + 1)
@@ -159,9 +160,12 @@ def sample(
     i mod len(fam), so group sizes differ by at most one, and n must reach
     len(fam) so that every member labels a row). Each group is
     generated in topological order; intervened coordinates are independent
-    draws from N(level_mean, level_sd^2). An n that is not an integer
-    raises InvalidSimConfig."""
+    draws from N(level_mean, level_sd^2). An n that is not an integer, or a
+    level_mean or level_sd outside SimConfig's ranges, raises
+    InvalidSimConfig."""
     _check_limit("n", n, error=InvalidSimConfig)
+    _check_real("level_mean", level_mean)
+    _check_real("level_sd", level_sd, 0)
     if not len(fam):
         raise InfeasibleTargets("family must contain at least one target")
     if n < len(fam):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import subprocess
 import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cases
+import gieskit
 from gieskit import (
     Dag,
     Graph,
@@ -24,7 +28,7 @@ from gieskit import (
     simulate,
     skeleton,
 )
-from gieskit.cli import SWEEP_COLUMNS, main
+from gieskit.cli import ALGOS, SWEEP_COLUMNS, main
 
 
 def run(capsys, *argv):
@@ -405,32 +409,46 @@ def test_sweep_json_format(capsys):
     assert len(rows) == 1 and set(rows[0]) == set(SWEEP_COLUMNS)
 
 
-def test_sweep_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
-    argv = ("sweep", "--p", "4", "--s", "0.5", "--k", "0", "2", "--m", "1",
-            "--n", "150", "--algo", "gies", "gies-nt", "gds", "ges", "dp",
-            "--seed", "3")
-    rows = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GIESKIT_THREADS", threads)
-        code, stdout, _ = run(capsys, *argv)
-        assert code == 0
-        rows[threads] = json.loads(stdout)
-        for row in rows[threads]:
-            del row["runtime_s"]
-    assert len(rows["1"]) == 10
-    assert rows["1"] == rows["2"]
+def test_sweep_rows_follow_the_grid_order(capsys):
+    code, stdout, _ = run(
+        capsys, "sweep", "--p", "4", "--s", "0.5", "--k", "0", "2", "--m", "1",
+        "--n", "150", "--algo", *ALGOS, "--seed", "3",
+    )
+    assert code == 0
+    rows = json.loads(stdout)
+    assert [(row["k"], row["algo"]) for row in rows] == list(product([0, 2], ALGOS))
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
-def test_sweep_names_a_bad_thread_count(capsys, monkeypatch, threads):
-    monkeypatch.setenv("GIESKIT_THREADS", threads)
-    code, stdout, err = run(capsys, "sweep", "--p", "4", "--s", "0.5", "--k",
-                            "0", "--m", "1", "--n", "100")
+def test_sweep_names_a_learner_error_whatever_the_environment(capsys, monkeypatch):
+    # GIESKIT_THREADS=2 once ran the rows in a process pool, which could not
+    # unpickle TooLarge and reported BrokenProcessPool
+    monkeypatch.setenv("GIESKIT_THREADS", "2")
+    code, stdout, err = run(
+        capsys, "sweep", "--p", "16", "--s", "0.2", "--k", "0", "--m", "1",
+        "--n", "100", "--algo", "dp", "--replicates", "2",
+    )
     assert code == 1 and stdout == ""
     assert json.loads(err) == {
-        "error": "ValueError",
-        "message": f"GIESKIT_THREADS must be an integer of at least 1, got {threads!r}",
+        "error": "TooLarge", "message": "p = 16 exceeds the exact-search limit 15",
     }
+
+
+def test_no_library_module_reads_the_environment():
+    # a setting read from the environment is an option that no flag or
+    # parameter shows
+    reads = []
+    for path in sorted(Path(gieskit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "os"
+                and {a.name for a in node.names} & {"environ", "getenv"}
+            ):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
 
 
 def test_sweep_rejects_an_empty_grid(tmp_path, capsys):

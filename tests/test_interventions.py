@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from gieskit import (
     NonConservativeFamily,
     NotAnArrow,
     TargetFamily,
+    TooLarge,
     TooManyRepresentatives,
     count_non_essential,
     enumerate_representatives,
@@ -390,6 +392,23 @@ def test_enumerate_representatives_respects_limit():
     assert len(enumerate_representatives(two, limit=4)) == 4
     with pytest.raises(TooManyRepresentatives):
         enumerate_representatives(two, limit=3)
+
+
+def test_errors_with_fields_and_families_survive_pickling():
+    # a worker process returns its result or error pickled: TooLarge once
+    # failed to unpickle, and TooManyRepresentatives came back with its
+    # message twice
+    for value, fields in (
+        (TooLarge(16, 15), {"p": 16, "max_p": 15}),
+        (TooManyRepresentatives(3), {"limit": 3}),
+    ):
+        got = pickle.loads(pickle.dumps(value))
+        assert type(got) is type(value) and str(got) == str(value)
+        assert vars(got) == fields
+    fam = TargetFamily([(), (2, 1), (2, 1)])
+    got = pickle.loads(pickle.dumps(fam))
+    assert got == fam and got.unique == fam.unique
+    assert got.membership_index() == fam.membership_index()
 
 
 @pytest.mark.parametrize("limit", [0, -1])

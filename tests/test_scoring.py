@@ -31,7 +31,9 @@ from gieskit import (
     best_move,
     enumerate_representatives,
     essential_graph,
+    evaluate,
     local_score,
+    markov_equivalent,
     mle_params,
     move_delta,
     simulate,
@@ -296,6 +298,8 @@ def test_cached_and_uncached_scores_are_equal(parents, v, penalty):
     (4, [], "vertex 4 outside 1..3"),
     (1, [4], "parent 4 outside 1..3"),
     (2, [2], "vertex 2 is its own parent"),
+    # ids that do not compare are listed in repr order: "'a'" before "2"
+    (1, ["a", 2], "parent 'a' is not an integer vertex id"),
 ])
 def test_a_key_outside_the_dataset_is_rejected_before_any_fit(v, parents, wrong):
     # vertex 0 and parent 0 would read column 3, vertex 4 and parent 4 run
@@ -468,6 +472,19 @@ def test_total_score_requires_directed_graph(data5):
     for graph, why in NOT_DAGS:
         with pytest.raises(ScoringError, match=f"^scoring requires {why}$"):
             total_score(graph, DATA3)
+
+
+def test_a_graph_with_no_line_and_no_cycle_is_taken_as_its_dag():
+    # every DAG check accepts a plain Graph that is a DAG, and each result
+    # is the one for the same Dag
+    g, d = Graph(3, arrows=[(1, 2), (2, 3)]), Dag(3, arrows=[(1, 2), (2, 3)])
+    fam = TargetFamily(dict.fromkeys(DATA3.targets))
+    assert total_score(g, DATA3) == total_score(d, DATA3)
+    got, want = mle_params(g, DATA3), mle_params(d, DATA3)
+    assert np.array_equal(got.B, want.B) and np.array_equal(got.sigma2, want.sigma2)
+    assert essential_graph(g, fam) == essential_graph(d, fam)
+    assert markov_equivalent(g, d, fam) and markov_equivalent(d, g, fam)
+    assert evaluate(d, g, fam) == evaluate(d, d, fam)
 
 
 def test_total_score_matches_oracle(sim4):

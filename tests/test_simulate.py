@@ -230,6 +230,7 @@ def test_simulate_result_is_internally_consistent():
     ("level_mean", 4, math.nan),
     ("level_mean", 4, math.inf),
     ("level_mean", 4, -math.inf),
+    ("level_mean", 4, 10**400),  # once a bare OverflowError in sample
     ("seed", 4, -1),
 ])
 def test_simulate_rejects_out_of_range_parameters(field, p, value):
@@ -270,20 +271,51 @@ def test_scenario_parts_reject_counts_that_are_not_integers(call, name, value):
         call(value)
 
 
+def _sample_levels(**levels):
+    return sample(_MODEL2, TargetFamily([(), (1,)]), 10, substream(2), **levels)
+
+
 @pytest.mark.parametrize("call, field, value", [
     (lambda x: random_dag(x, 0.5, substream(1)), "p", 0),
     (lambda x: random_dag(3, x, substream(1)), "s", 1.5),
     (lambda x: random_dag(3, x, substream(1)), "s", -0.5),
     (lambda x: random_dag(3, x, substream(1)), "s", math.nan),
+    (lambda x: random_dag(3, x, substream(1)), "s", None),
+    (lambda x: random_dag(3, x, substream(1)), "s", True),
     (lambda x: random_targets(x, 0, 0, substream(1)), "p", -1),
     (lambda x: random_targets(x, 0, 0, substream(1)), "p", 0),
+    (lambda x: _sample_levels(level_mean=x), "level_mean", math.inf),
+    (lambda x: _sample_levels(level_mean=x), "level_mean", "2"),
+    (lambda x: _sample_levels(level_sd=x), "level_sd", -1.0),
+    (lambda x: _sample_levels(level_sd=x), "level_sd", math.nan),
+    (lambda x: _sample_levels(level_sd=x), "level_sd", None),
 ], ids=["random_dag-p", "random_dag-s-above", "random_dag-s-below", "random_dag-s-nan",
-        "random_targets-p-negative", "random_targets-p-zero"])
+        "random_dag-s-none", "random_dag-s-bool",
+        "random_targets-p-negative", "random_targets-p-zero",
+        "sample-level_mean-inf", "sample-level_mean-str", "sample-level_sd-negative",
+        "sample-level_sd-nan", "sample-level_sd-none"])
 def test_scenario_parts_apply_the_config_ranges(call, field, value):
     # random_dag(3, 1.5) once returned the complete DAG, random_dag(3, nan)
-    # an empty one, and random_targets(-1, 0, 0) the family [[]]
+    # an empty one, and random_targets(-1, 0, 0) the family [[]]; sample's
+    # levels went unchecked: -1.0 raised numpy's bare ValueError, inf and
+    # nan a NonFiniteData of the finished rows
     with pytest.raises(InvalidSimConfig, match=f"^{field} must"):
         call(value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s", "0.5"), ("s", None), ("s", True),
+    ("level_mean", "2"), ("level_mean", None), ("level_mean", True),
+    ("level_sd", "x"), ("level_sd", False),
+])
+def test_sim_config_rejects_reals_that_are_not_numbers(field, value):
+    # a string or None once raised a bare TypeError, and a bool passed as
+    # 0 or 1; a bool is not a number here, as it is not an integer
+    params = {"p": 3, "s": 0.5, "k": 0, "m": 1, "n": 10, field: value}
+    with pytest.raises(InvalidSimConfig) as exc:
+        SimConfig(**params)
+    assert str(exc.value).startswith(f"{field} must be a finite number in [")
+    assert str(exc.value).endswith(f"], got {value!r}")
 
 
 @pytest.mark.parametrize("replicate", [1.5, True, "1"])
