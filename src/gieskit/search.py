@@ -29,13 +29,15 @@ computed once per candidate, so runs are deterministic. Every candidate
 already meets its edge and clique rules, so the ranked walk checks only the
 path rule (`_paths_clear`). A move changes the pa/nb/ch sets of a few
 vertices (D), so the score cache keeps one ranking per phase and
-max_degree, which `best_move` brings up to date by diffing those sets: it
-rebuilds the candidates of each v in D or with a neighbour in D, and for
-every other v re-scores only the pairs (u, v) with u in D. The same
-driver runs the DAG-space search of `baselines.gds`: a DAG is a graph
-without lines, on which every C is empty, the candidates are exactly the
-single-arrow insertions, deletions and reversals, and `_edit` alone
-applies a move.
+max_degree, which `best_move` brings up to date by diffing those sets, by
+one rule for every phase: it rebuilds the candidates of a v whose pa(v),
+nb(v), lines among nb(v) or side of the degree cap may have changed, and
+for every other v enumerates again only the pairs (u, v) with u in D whose
+ad(u) changed inside nb(v) | {v}, whose side of the cap changed or, in a
+phase with turns, whose pa(u) changed. The same driver runs the DAG-space
+search of `baselines.gds`: a DAG is a graph without lines, on which every
+C is empty, the candidates are exactly the single-arrow insertions,
+deletions and reversals, and `_edit` alone applies a move.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import cached_property
 from itertools import chain
 from math import fsum
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .graphs import (
     Dag,
@@ -192,6 +194,13 @@ _ADMITS: dict[MoveKind, Callable[..., bool]] = {
 _ADMITS[MoveKind.TURN_ARROW] = _ADMITS[MoveKind.INSERT]
 
 
+def _check_kind(kind: object) -> None:
+    """Raise GraphError naming kind unless it is a MoveKind member (an int
+    such as 0 is not)."""
+    if not isinstance(kind, MoveKind):
+        raise GraphError(f"unknown move kind {kind!r}")
+
+
 def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bool:
     """Whether (u, v, C) is a valid move of the kind on g.
 
@@ -200,9 +209,11 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
     line u - v (NotAnEdge), turn-line a line u - v (NotALine) and
     turn-arrow an arrow v -> u (NotAnArrow). C must then be one of the
     cliques of line-neighbours of v that the move generator (_moves) yields
-    for the pair, and the move's paths must be clear (_paths_clear). A u, v
-    or member of C that is not a vertex id of g raises GraphError.
+    for the pair, and the move's paths must be clear (_paths_clear). A kind
+    that is not a MoveKind member, or a u, v or member of C that is not a
+    vertex id of g, raises GraphError.
     """
+    _check_kind(kind)
     C = frozenset(C)
     _check_vertices(g, (u, v, *C))
     if kind is MoveKind.INSERT:
@@ -218,7 +229,7 @@ def valid_move(kind: MoveKind, g: Graph, u: int, v: int, C: Iterable[int]) -> bo
             raise NotALine(f"no line {u} - {v}")
     elif not g.has_arrow(v, u):
         raise NotAnArrow(f"no arrow {v} -> {u}")
-    generated = (c for *_, c in _moves(g, (kind,), vertices=(v,), partners=(u,)))
+    generated = (c for *_, c in _moves(g, (kind,), visits=[(v, (u,))]))
     return C in generated and _paths_clear(kind, g, u, v, C)
 
 
@@ -283,8 +294,10 @@ def move_delta(
     s(v, B | {u}) - s(v, B - {u}), negated for a delete; a turn adds
     s(u, P - {v}) - s(u, P | {v}), with P = pa(u) | (C & N) for a turn-line
     and P = pa(u) for a turn-arrow. A graph on other than data.p vertices,
-    or a cache bound to other data, raises ScoringError, and a u, v or
-    member of C that is not a vertex id of g GraphError."""
+    or a cache bound to other data, raises ScoringError, and a kind that
+    is not a MoveKind member, or a u, v or member of C that is not a vertex
+    id of g, GraphError."""
+    _check_kind(kind)
     _check_vertex_count(g, data)
     C = frozenset(C)
     _check_vertices(g, (u, v, *C))
@@ -366,18 +379,18 @@ def _moves(
     g: Graph,
     kinds: tuple[MoveKind, ...],
     max_degree: int | None = None,
-    vertices: Iterable[int] | None = None,
-    partners: Iterable[int] | None = None,
+    visits: Iterable[tuple[int, Collection[int] | None]] | None = None,
 ) -> Iterator[tuple[MoveKind, int, int, frozenset[int]]]:
     """Every (kind, u, v, C) of the given kinds whose C passes its kind's
     rule, visiting each v once. max_degree closes inserts at vertices with
-    that many neighbours. vertices and partners restrict v and u (default:
-    every vertex)."""
+    that many neighbours. visits lists the v to visit, each with the pool
+    of its partners u (None: every vertex); by default every v is visited
+    with every partner."""
     ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
     cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
-    pool = g.vertices if partners is None else partners
-    for v in g.vertices if vertices is None else vertices:
+    for v, pool in ((v, None) for v in g.vertices) if visits is None else visits:
         nb_v = frozenset(g._nb[v])
+        pool = g.vertices if pool is None else pool
         pairs = [
             (u, nb_v & ad[u], kind, _ADMITS[kind])
             for kind in kinds
@@ -426,8 +439,16 @@ class _Ranking:
     """What best_move keeps between the calls of one phase and max_degree on
     one cache (its key in ScoreCache.rankings): the pa/nb/ch sets of each
     vertex at the last call, and the candidates with a positive delta per
-    v built from them. A fresh ranking has no sets, so its first call finds
-    every vertex changed and scores every move."""
+    v built from them. A fresh ranking has no sets, so its first call
+    builds every vertex's candidates.
+
+    A move (kind, u, v, C) reads, from v: pa(v) (the base B), nb(v) and the
+    lines among nb(v) (the cliques C and _ADMITS), ad(v) (insert partners
+    are not adjacent, turn-arrow partners are ch(v)) and whether |ad(v)| is
+    under the cap; from u: ad(u) within nb(v) | {v} (N = nb(v) & ad(u), and
+    u's adjacency to v), whether |ad(u)| is under the cap, and for a turn
+    pa(u). refresh keeps a pair's candidates only when none of these
+    changed."""
 
     def __init__(self, p: int):
         self.sets: list[tuple | None] = [None] * (p + 1)
@@ -440,34 +461,64 @@ class _Ranking:
         cache: ScoreCache,
         max_degree: int | None,
     ) -> None:
-        """Bring the candidates up to date with g.
-
-        The candidates of a pair (u, v) depend on the sets of u and v, on
-        the lines among nb(v) (the cliques C and how they separate), and
-        under max_degree on |ad(u)| and |ad(v)|. With D the vertices whose
-        sets differ from the last call's, v is rebuilt when v is in D or
-        nb(v) meets D; every other v keeps its candidates with u outside D
-        and re-scores its pairs with u in D. The ranking changes only once
-        every candidate is scored, so a call that raises leaves it as it
-        was.
+        """Bring the candidates up to date with g, by one rule for every
+        phase. With D the vertices whose sets differ from the last call's,
+        v is rebuilt in full when pa(v) or nb(v) changed, when two or more
+        members of nb(v) have a changed nb (a line among nb(v) may have
+        changed), or when |ad(v)| crossed max_degree. Every other v keeps
+        its candidates, except those with a partner u in D whose ad(u)
+        changed inside nb(v) | {v}, whose |ad(u)| crossed the cap, or, in a
+        phase with turns, whose pa(u) changed: those pairs are enumerated
+        again. The ranking changes only once every candidate is scored, so
+        a call that raises leaves it as it was.
         """
-        changed = {
-            x for x in g.vertices
-            if self.sets[x] != (g._pa[x], g._nb[x], g._ch[x])
-        }
+        cap = g.p if max_degree is None else max_degree
+        # D (changed); the vertices of D whose pa, nb or side of the cap
+        # changed; and per x in D, the vertices whose adjacency to x changed
+        changed, moved_pa, moved_nb, crossed = [], set(), set(), set()
+        moved_ad: dict[int, set[int]] = {}
+        for x in g.vertices:
+            old, pa, nb, ch = self.sets[x], g._pa[x], g._nb[x], g._ch[x]
+            if old == (pa, nb, ch):
+                continue
+            changed.append(x)
+            if old is None:  # a fresh ranking: every v is rebuilt
+                moved_pa.add(x)
+                continue
+            if old[0] != pa:
+                moved_pa.add(x)
+            if old[1] != nb:
+                moved_nb.add(x)
+            ad_old, ad = old[0] | old[1] | old[2], pa | nb | ch
+            if (len(ad_old) < cap) != (len(ad) < cap):
+                crossed.add(x)
+            if ad_old != ad:
+                moved_ad[x] = ad_old ^ ad
+        # partners whose pairs are enumerated again at every kept v: those
+        # whose side of the cap changed, and for a turn, which reads pa(u),
+        # those whose pa changed
+        turns = not {MoveKind.TURN_LINE, MoveKind.TURN_ARROW}.isdisjoint(kinds)
+        always = crossed | moved_pa if turns else crossed
         positive: list[list[MoveCandidate]] = [[] for _ in range(g.p + 1)]
-        rebuild, keep = [], []
+        visits: list[tuple[int, Collection[int] | None]] = []
         for v in g.vertices:
-            if v in changed or not changed.isdisjoint(g._nb[v]):
-                rebuild.append(v)
-            else:
-                keep.append(v)
-                positive[v] = [c for c in self.positive[v] if c.u not in changed]
-        moves = chain(
-            _moves(g, kinds, max_degree, rebuild),
-            _moves(g, kinds, max_degree, keep, changed),
-        )
-        for c in _scored(g, moves, cache):
+            nb_v = g._nb[v]
+            if (
+                v in moved_pa
+                or v in moved_nb
+                or v in crossed
+                or len(moved_nb & nb_v) > 1  # a line among nb(v) may have changed
+            ):
+                visits.append((v, None))
+                continue
+            redo = always | {
+                u for u, moved in moved_ad.items()
+                if v in moved or not nb_v.isdisjoint(moved)
+            }
+            positive[v] = [c for c in self.positive[v] if c.u not in redo]
+            if redo:
+                visits.append((v, redo))
+        for c in _scored(g, _moves(g, kinds, max_degree, visits), cache):
             positive[c.v].append(c)
         self.positive = positive
         for x in changed:
@@ -487,16 +538,18 @@ def best_move(
     as tie-break; the enumeration has applied every rule but the path rule,
     which is checked (_paths_clear) only on this sorted walk, best first.
     The cache keeps one ranking per phase and max_degree
-    (ScoreCache.rankings): a call rebuilds only the candidates
-    of the vertices that changed since the ranking's last call or have a
-    changed neighbour, and re-scores the pairs whose u changed
-    (_Ranking.refresh). Without a cache, the call scores through one fresh
-    cache and builds every candidate. A graph on other than data.p vertices,
-    or a cache bound to other data, raises ScoringError.
+    (ScoreCache.rankings): a call enumerates again only the pairs (u, v)
+    whose candidates read something that changed since the ranking's last
+    call (_Ranking.refresh). Without a cache, the call scores through one
+    fresh cache and builds every candidate. max_degree, if given, must be
+    an integer >= 0 (not a bool; GraphError). A graph on other than data.p
+    vertices, or a cache bound to other data, raises ScoringError.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:
         raise GraphError(f"unknown phase {phase!r}")
+    if max_degree is not None:
+        _check_limit("max_degree", max_degree, 0)
     _check_vertex_count(g, data)
     cache = _bound_cache(data, cache)
     ranking = cache.rankings.get((phase, max_degree))

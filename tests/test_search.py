@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import replace
 from functools import partial
 from math import fsum
@@ -530,6 +531,21 @@ def _key(c):
 # a line 1 - 4 appears between two neighbours of the unchanged vertex 7,
 # which gives the inserts at 7 the new clique C = {1, 4}
 @example(8, 0, 20, "gies", None)
+# the second insert, a line 4 - 5, changes ad(4) outside nb(1) | {1} =
+# {1, 6}: the inserts 4 -> 1 are kept as they were
+@example(6, 0, 2, "gies", None)
+# the insert 4 -> 6 adds 4, the only neighbour of the unchanged vertex 5,
+# to ad(6): the insert 6 -> 5 now needs C = {4}, so the pair is enumerated
+# again
+@example(6, 0, 0, "gies", None)
+# the insert 5 -> 1 brings |ad(5)| to the cap while pa(5) and nb(5) stay,
+# which closes the inserts at 5; the insert 4 -> 6 brings |ad(4)| to the
+# cap, which closes partner 4 of the unchanged vertices 1, 2 and 3
+@example(6, 0, 0, "gies", 2)
+# the turn-arrow 5 -> 1 adds 5 to pa(1) and leaves ad(1) as it was: the
+# turn-arrow (1, 4) of the unchanged vertex 4 reads pa(1), and its delta
+# falls from 27.9 to 18.3
+@example(6, 0, 1, "gies", None)
 def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learner, max_degree):
     # after every call in a run, the cache's ranking of the phase holds
     # exactly the positive candidates a full enumeration builds, and the move
@@ -640,6 +656,34 @@ def test_move_delta_refuses_a_vertex_outside_the_graph(kind, u, v):
     bad = u if not 1 <= u <= 6 else v
     with pytest.raises(GraphError, match=f"^vertex {bad} outside 1..6$"):
         move_delta(kind, Graph(6), u, v, (), SIM6_N300.data)
+
+
+@pytest.mark.parametrize("cap, message", [
+    (-1, "max_degree must be >= 0, got -1"),
+    (1.5, "max_degree must be an integer, got 1.5"),
+    (True, "max_degree must be an integer, got True"),
+    ("2", "max_degree must be an integer, got '2'"),
+])
+def test_best_move_refuses_a_cap_that_is_not_a_count(cap, message):
+    # refused before a ranking is kept under the bad cap
+    cache = ScoreCache(SIM6_N300.data)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        best_move(Graph(6), "forward", SIM6_N300.data, cache, cap)
+    assert cache.rankings == {} and cache.misses == 0
+
+
+@pytest.mark.parametrize("kind", [0, 3, "insert", None, "TURN_ARROW"])
+def test_a_kind_that_is_not_a_move_kind_is_refused(kind):
+    # the delta and the validity rules branch on the member; any other
+    # value was taken as a turn
+    message = f"^unknown move kind {re.escape(repr(kind))}$"
+    g, data = Graph(6), SIM6_N300.data
+    with pytest.raises(GraphError, match=message):
+        valid_move(kind, g, 1, 2, ())
+    with pytest.raises(GraphError, match=message):
+        move_delta(kind, g, 1, 2, (), data)
+    with pytest.raises(GraphError, match=message):
+        apply_move(g, MoveCandidate(kind, 1, 2, frozenset(), 1.0), SIM6_N300.fam)
 
 
 @pytest.mark.parametrize("u, v", [(1, 7), (0, 2), (5, 1)])
