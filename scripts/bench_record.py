@@ -22,7 +22,8 @@ the best time of each p over its two runs:
   the best wall time of two calls and the score.
 For each workload and end-to-end metric, the file also holds each side's
 median and quartiles and the number of pairs the change won (ties count
-for neither side).
+for neither side). `library_lines` holds each side's code lines of
+src/gieskit per file, as scripts/library_size.py counts them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from library_size import sizes  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION_11 = re.compile(
@@ -158,6 +163,9 @@ def main() -> int:
     record = {
         "command": shlex.join(["python3", "scripts/bench_record.py", *sys.argv[1:]]),
         "run_seconds": seconds,
+        "library_lines": {
+            side: sizes(tree / "src" / "gieskit") for side, tree in sides.items()
+        },
         "workloads": {},
     }
     for w in (w["name"] for w in spec["workloads"]):

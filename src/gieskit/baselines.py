@@ -130,7 +130,8 @@ def dp_exact(
     data.check_family(fam)
     data.check_columns()
     cache = ScoreCache(data)
-    cap = (p - 1 if p <= 12 else 5) if max_parents is None else max_parents
+    # the metadata holds Python ints, which json can write, for numpy limits
+    cap = (p - 1 if p <= 12 else 5) if max_parents is None else int(max_parents)
     full = (1 << p) - 1
     # sets[S]: the parent set of the bitmask S (bit w - 1 for vertex w), for
     # every S of at most cap members, in ascending order of S: each pass
@@ -208,7 +209,7 @@ def dp_exact(
         dag=dag,
         score=score,
         metadata={
-            "max_p": max_p,
+            "max_p": int(max_p),
             "max_parents": cap,
             "capped": cap < p - 1,
             "score": score,

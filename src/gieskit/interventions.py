@@ -249,8 +249,11 @@ def _strongly_protected(
 
 
 def strongly_protected(g: Graph, a: int, b: int, fam: TargetFamily) -> bool:
-    """Whether the arrow a -> b is strongly protected in g given fam."""
+    """Whether the arrow a -> b is strongly protected in g given fam, a
+    conservative family on g's vertices (NonConservativeFamily or
+    GraphError otherwise)."""
     _check_vertices(g, (a, b))
+    _require_conservative(fam, g.p)
     if not g.has_arrow(a, b):
         raise NotAnArrow(f"({a}, {b}) is not an arrow of the graph")
     return _strongly_protected(g, a, b, fam.membership_index())
@@ -260,7 +263,9 @@ def replace_unprotected(g: Graph, fam: TargetFamily) -> Graph:
     """Relax arrows that are not strongly protected into lines until a
     fixpoint is reached. Each sweep scans arrows in sorted order and relaxes
     every arrow found unprotected in the current graph; the fixpoint does
-    not depend on this order."""
+    not depend on this order. fam must be a conservative family on g's
+    vertices (NonConservativeFamily or GraphError otherwise)."""
+    _require_conservative(fam, g.p)
     memb = fam.membership_index()
     h = g.copy()
     while True:
@@ -278,7 +283,6 @@ def essential_graph(d: Dag, fam: TargetFamily) -> EssentialGraph:
     why = _dag_error(d)
     if why:
         raise GraphError(f"essential_graph {why}")
-    _require_conservative(fam, d.p)
     return EssentialGraph(as_chain_graph(replace_unprotected(d, fam)), fam)
 
 

@@ -35,7 +35,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,18 +85,39 @@ class FamilyMismatch(ScoringError):
 UNFITTABLE = (InsufficientSamples, SingularDesign)
 
 
+def _real_array(name: str, value: object) -> np.ndarray:
+    """value as a float64 array, or ScoringError naming `name` and the dtype
+    unless it holds booleans, integers or real floats (a complex part is not
+    dropped, and a string is not parsed)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ScoringError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _row_target(row: int, target: object) -> Target:
+    """The target of a row (counted from 1) as a set, or ScoringError naming
+    the row unless it is a collection of hashable ids."""
+    try:
+        return frozenset(target)
+    except TypeError:
+        raise ScoringError(f"row {row}: {target!r} is not a set of vertex ids") from None
+
+
 class InterventionalDataset:
     """An n x p sample matrix plus one intervention target per row. The
     dataset holds the one copy of the samples it reads: a read-only p x n
     C-ordered matrix whose row j - 1 is column j of X, taken at
     construction. `X` is a view of it, not a copy.
 
-    Each distinct row target is checked once: a target vertex must be an
-    integer id in 1..p, else ScoringError. A row target equal to an earlier
+    X must hold booleans, integers or real floats, and each row target must
+    be a collection of vertex ids, else ScoringError naming the dtype or the
+    row. Each distinct row target is checked once: a target vertex must be
+    an integer id in 1..p, else ScoringError. A row target equal to an earlier
     one shares its set, so {True} after {1} is read as {1} (True == 1)."""
 
     def __init__(self, X: np.ndarray, targets: Sequence[Iterable[int]]):
-        X = np.asarray(X, dtype=np.float64)
+        X = _real_array("X", X)
         if X.ndim != 2:
             raise ScoringError(f"X must be 2-dimensional, got shape {X.shape}")
         if len(targets) != X.shape[0]:
@@ -117,9 +138,8 @@ class InterventionalDataset:
         self._columns.flags.writeable = False
         # rows share their target's frozenset; each distinct target is checked once
         distinct: dict[Target, Target] = {}
-        self.targets: tuple[Target, ...] = tuple(
-            distinct.setdefault(t, t) for t in map(frozenset, targets)
-        )
+        rows = starmap(_row_target, enumerate(targets, 1))
+        self.targets: tuple[Target, ...] = tuple(distinct.setdefault(t, t) for t in rows)
         for t in distinct:
             for v in t:
                 why = _vertex_error(v, self.p)
@@ -550,7 +570,9 @@ def total_score(
 class GaussianModel:
     """Linear Gaussian structural model: each variable is a weighted sum of
     its parents plus independent noise. B[i][j] is the weight of parent j+1
-    in the equation of variable i+1 and is zero off the parent sets."""
+    in the equation of variable i+1 and is zero off the parent sets. The
+    weights must be finite and the error variances sigma2 positive and
+    finite, else ScoringError."""
 
     dag: Dag
     B: np.ndarray
@@ -558,14 +580,16 @@ class GaussianModel:
 
     def __post_init__(self):
         p = self.dag.p
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.sigma2 = np.asarray(self.sigma2, dtype=np.float64)
+        self.B = _real_array("B", self.B)
+        self.sigma2 = _real_array("sigma2", self.sigma2)
         if self.B.shape != (p, p):
             raise ScoringError(f"B must be {p} x {p}, got {self.B.shape}")
         if self.sigma2.shape != (p,):
             raise ScoringError(f"sigma2 must have length {p}")
-        if np.any(self.sigma2 <= 0):
-            raise ScoringError("error variances must be positive")
+        if not np.isfinite(self.B).all():
+            raise ScoringError("B must be finite")
+        if not (np.isfinite(self.sigma2) & (self.sigma2 > 0)).all():
+            raise ScoringError("error variances must be positive and finite")
         for i in range(p):
             for j in range(p):
                 if self.B[i, j] != 0.0 and not self.dag.has_arrow(j + 1, i + 1):

@@ -29,15 +29,18 @@ computed once per candidate, so runs are deterministic. Every candidate
 already meets its edge and clique rules, so the ranked walk checks only the
 path rule (`_paths_clear`). A move changes the pa/nb/ch sets of a few
 vertices (D), so the score cache keeps one ranking per phase and
-max_degree, which `best_move` brings up to date by diffing those sets, by
-one rule for every phase: it rebuilds the candidates of a v whose pa(v),
-nb(v), lines among nb(v) or side of the degree cap may have changed, and
-for every other v enumerates again only the pairs (u, v) with u in D whose
-ad(u) changed inside nb(v) | {v}, whose side of the cap changed or, in a
-phase with turns, whose pa(u) changed. The same driver runs the DAG-space
-search of `baselines.gds`: a DAG is a graph without lines, on which every
-C is empty, the candidates are exactly the single-arrow insertions,
-deletions and reversals, and `_edit` alone applies a move.
+max_degree: one list of the positive candidates in rank order, which
+`best_move` brings up to date by diffing those sets, by one rule for every
+phase: it rebuilds the candidates of a v whose pa(v), nb(v), lines among
+nb(v) or side of the degree cap may have changed, and for every other v
+enumerates again only the pairs (u, v) with u in D whose ad(u) changed
+inside nb(v) | {v}, whose side of the cap changed or, in a phase with
+turns, whose pa(u) changed. The kept candidates stay in order and the new
+ones are merged in, so the walk needs no sort of its own. The same phase
+loop (`run_phases`) runs the DAG-space search of `baselines.gds`: a DAG is
+a graph without lines, on which every C is empty, the candidates are
+exactly the single-arrow insertions, deletions and reversals, and `_edit`
+alone applies a move.
 """
 
 from __future__ import annotations
@@ -379,18 +382,16 @@ def _moves(
     g: Graph,
     kinds: tuple[MoveKind, ...],
     max_degree: int | None = None,
-    visits: Iterable[tuple[int, Collection[int] | None]] | None = None,
+    visits: Iterable[tuple[int, Collection[int]]] | None = None,
 ) -> Iterator[tuple[MoveKind, int, int, frozenset[int]]]:
     """Every (kind, u, v, C) of the given kinds whose C passes its kind's
     rule, visiting each v once. max_degree closes inserts at vertices with
     that many neighbours. visits lists the v to visit, each with the pool
-    of its partners u (None: every vertex); by default every v is visited
-    with every partner."""
+    of its partners u; by default every v is visited with every partner."""
     ad = [g._pa[x] | g._ch[x] | g._nb[x] for x in range(g.p + 1)]
     cap = g.p if max_degree is None else max_degree  # no vertex has p neighbours
-    for v, pool in ((v, None) for v in g.vertices) if visits is None else visits:
+    for v, pool in ((v, g.vertices) for v in g.vertices) if visits is None else visits:
         nb_v = frozenset(g._nb[v])
-        pool = g.vertices if pool is None else pool
         pairs = [
             (u, nb_v & ad[u], kind, _ADMITS[kind])
             for kind in kinds
@@ -438,9 +439,9 @@ def _scored(
 class _Ranking:
     """What best_move keeps between the calls of one phase and max_degree on
     one cache (its key in ScoreCache.rankings): the pa/nb/ch sets of each
-    vertex at the last call, and the candidates with a positive delta per
-    v built from them. A fresh ranking has no sets, so its first call
-    builds every vertex's candidates.
+    vertex at the last call, and the candidates with a positive delta built
+    from them, as one list in rank order (MoveCandidate.rank). A fresh
+    ranking has no sets, so its first call builds every candidate.
 
     A move (kind, u, v, C) reads, from v: pa(v) (the base B), nb(v) and the
     lines among nb(v) (the cliques C and _ADMITS), ad(v) (insert partners
@@ -452,7 +453,7 @@ class _Ranking:
 
     def __init__(self, p: int):
         self.sets: list[tuple | None] = [None] * (p + 1)
-        self.positive: list[list[MoveCandidate]] = [[] for _ in range(p + 1)]
+        self.ranked: list[MoveCandidate] = []
 
     def refresh(
         self,
@@ -461,16 +462,19 @@ class _Ranking:
         cache: ScoreCache,
         max_degree: int | None,
     ) -> None:
-        """Bring the candidates up to date with g, by one rule for every
-        phase. With D the vertices whose sets differ from the last call's,
-        v is rebuilt in full when pa(v) or nb(v) changed, when two or more
-        members of nb(v) have a changed nb (a line among nb(v) may have
-        changed), or when |ad(v)| crossed max_degree. Every other v keeps
-        its candidates, except those with a partner u in D whose ad(u)
+        """Bring the ranked candidates up to date with g, by one rule for
+        every phase. With D the vertices whose sets differ from the last
+        call's, v is rebuilt in full when pa(v) or nb(v) changed, when two
+        or more members of nb(v) have a changed nb (a line among nb(v) may
+        have changed), or when |ad(v)| crossed max_degree. Every other v
+        keeps its candidates, except those with a partner u in D whose ad(u)
         changed inside nb(v) | {v}, whose |ad(u)| crossed the cap, or, in a
         phase with turns, whose pa(u) changed: those pairs are enumerated
-        again. The ranking changes only once every candidate is scored, so
-        a call that raises leaves it as it was.
+        again. redo maps each v to the partners of its pairs enumerated
+        again (every vertex for a v rebuilt in full). The kept candidates
+        stay one ascending run and every rank is unique, so the sort only
+        merges the new candidates in. The ranking changes only once every
+        candidate is scored, so a call that raises leaves it as it was.
         """
         cap = g.p if max_degree is None else max_degree
         # D (changed); the vertices of D whose pa, nb or side of the cap
@@ -499,8 +503,7 @@ class _Ranking:
         # those whose pa changed
         turns = not {MoveKind.TURN_LINE, MoveKind.TURN_ARROW}.isdisjoint(kinds)
         always = crossed | moved_pa if turns else crossed
-        positive: list[list[MoveCandidate]] = [[] for _ in range(g.p + 1)]
-        visits: list[tuple[int, Collection[int] | None]] = []
+        redo: dict[int, Collection[int]] = {}
         for v in g.vertices:
             nb_v = g._nb[v]
             if (
@@ -509,18 +512,17 @@ class _Ranking:
                 or v in crossed
                 or len(moved_nb & nb_v) > 1  # a line among nb(v) may have changed
             ):
-                visits.append((v, None))
+                redo[v] = g.vertices
                 continue
-            redo = always | {
+            pool = always | {
                 u for u, moved in moved_ad.items()
                 if v in moved or not nb_v.isdisjoint(moved)
             }
-            positive[v] = [c for c in self.positive[v] if c.u not in redo]
-            if redo:
-                visits.append((v, redo))
-        for c in _scored(g, _moves(g, kinds, max_degree, visits), cache):
-            positive[c.v].append(c)
-        self.positive = positive
+            if pool:
+                redo[v] = pool
+        kept = (c for c in self.ranked if c.u not in redo.get(c.v, ()))
+        new = _scored(g, _moves(g, kinds, max_degree, redo.items()), cache)
+        self.ranked = sorted(chain(kept, new), key=attrgetter("rank"))
         for x in changed:
             self.sets[x] = tuple(map(frozenset, (g._pa[x], g._nb[x], g._ch[x])))
 
@@ -534,16 +536,17 @@ def best_move(
 ) -> MoveCandidate | None:
     """Best strictly improving valid move of one phase, or None.
 
-    Candidates are sorted by delta (descending) with the lexicographic key
-    as tie-break; the enumeration has applied every rule but the path rule,
-    which is checked (_paths_clear) only on this sorted walk, best first.
     The cache keeps one ranking per phase and max_degree
-    (ScoreCache.rankings): a call enumerates again only the pairs (u, v)
-    whose candidates read something that changed since the ranking's last
-    call (_Ranking.refresh). Without a cache, the call scores through one
-    fresh cache and builds every candidate. max_degree, if given, must be
-    an integer >= 0 (not a bool; GraphError). A graph on other than data.p
-    vertices, or a cache bound to other data, raises ScoringError.
+    (ScoreCache.rankings): the positive candidates in one list, ordered by
+    delta (descending) with the lexicographic key as tie-break. A call
+    enumerates again only the pairs (u, v) whose candidates read something
+    that changed since the ranking's last call (_Ranking.refresh), then
+    walks that list best first. The enumeration has applied every rule but
+    the path rule, which is checked (_paths_clear) only on this walk.
+    Without a cache, the call scores through one fresh cache and builds
+    every candidate. max_degree, if given, must be an integer >= 0 (not a
+    bool; GraphError). A graph on other than data.p vertices, or a cache
+    bound to other data, raises ScoringError.
     """
     kinds = _PHASE_KINDS.get(phase)
     if kinds is None:
@@ -556,12 +559,9 @@ def best_move(
     if ranking is None:
         ranking = cache.rankings[phase, max_degree] = _Ranking(data.p)
     ranking.refresh(g, kinds, cache, max_degree)
-    ranked = sorted(
-        (c for cs in ranking.positive for c in cs), key=attrgetter("rank")
-    )
     # the enumeration checked every condition except the path rule, which is
     # checked here on the ranked walk only
-    return next((c for c in ranked if _paths_clear(c.kind, g, c.u, c.v, c.C)), None)
+    return next((c for c in ranking.ranked if _paths_clear(c.kind, g, c.u, c.v, c.C)), None)
 
 
 # -- driver -----------------------------------------------------------------

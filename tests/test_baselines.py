@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 
@@ -160,6 +161,18 @@ def test_dp_exact_metadata_and_limits():
     with pytest.raises(TooLarge) as err:
         dp_exact(SIM4.data, SIM4.fam, max_p=3)
     assert err.value.p == 4 and err.value.max_p == 3
+
+
+@pytest.mark.parametrize("limits, want", [
+    ({"max_p": np.int64(15)}, {"max_p": 15, "max_parents": 3, "capped": False}),
+    ({"max_parents": np.int64(2)}, {"max_p": 15, "max_parents": 2, "capped": True}),
+], ids=["max_p", "max_parents"])
+def test_dp_exact_metadata_of_numpy_limits_is_json(limits, want):
+    # numpy limits pass the integer rule; the metadata once kept them (and
+    # the np.True_ of the cap comparison), which json.dumps refused
+    meta = dp_exact(SIM4.data, SIM4.fam, **limits).metadata
+    assert json.loads(json.dumps(meta)) == {**want, "score": meta["score"]}
+    assert all(type(meta[k]) is type(v) for k, v in want.items())
 
 
 def test_dp_exact_parent_cap():

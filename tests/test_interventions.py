@@ -17,11 +17,14 @@ from gieskit import (
     EssentialGraph,
     Graph,
     GraphError,
+    MoveCandidate,
+    MoveKind,
     NonConservativeFamily,
     NotAnArrow,
     TargetFamily,
     TooLarge,
     TooManyRepresentatives,
+    apply_move,
     count_non_essential,
     enumerate_representatives,
     essential_graph,
@@ -187,6 +190,26 @@ def test_markov_equivalent_requires_conservative_family():
         markov_equivalent(d, d, TargetFamily([]))
     with pytest.raises(GraphError):
         markov_equivalent(d, Dag(3), cases.FAM_OBS)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: essential_graph(Dag(3, arrows=[(1, 2), (2, 3)]), fam),
+    lambda fam: replace_unprotected(Dag(3, arrows=[(1, 2), (2, 3)]), fam),
+    lambda fam: strongly_protected(Dag(3, arrows=[(1, 2), (2, 3)]), 1, 2, fam),
+    lambda fam: apply_move(
+        Graph(3), MoveCandidate(MoveKind.INSERT, 1, 2, frozenset(), 1.0), fam
+    ),
+], ids=["essential_graph", "replace_unprotected", "strongly_protected", "apply_move"])
+@pytest.mark.parametrize("targets, error, message", [
+    ([[1]], NonConservativeFamily, "^some vertex is contained in every target"),
+    ([[], [7]], GraphError, "^target vertex 7 outside 1..3$"),
+], ids=["not-conservative", "outside"])
+def test_every_way_to_an_essential_graph_checks_the_family(call, targets, error, message):
+    # apply_move once returned the graph 1 -> 2 for the family {{1}}, and
+    # replace_unprotected and strongly_protected answered for a family naming
+    # vertex 7 of a graph on 3
+    with pytest.raises(error, match=message):
+        call(TargetFamily(targets))
 
 
 # a directed cycle and a line, which both functions once took for DAGs: the

@@ -90,6 +90,19 @@ def test_dataset_validation():
         InterventionalDataset(np.zeros((2, 3)), [(), (0,)])
 
 
+@pytest.mark.parametrize("X, targets, message", [
+    (np.ones((3, 2)) * 1j, [()] * 3, "^X must hold real numbers, got dtype complex128$"),
+    (np.array([["a", "b"]] * 3), [()] * 3, "^X must hold real numbers, got dtype <U1$"),
+    (np.ones((3, 2)), [(), None, ()], "^row 2: None is not a set of vertex ids$"),
+    (np.ones((3, 2)), [(), (), [[1]]], r"^row 3: \[\[1\]\] is not a set of vertex ids$"),
+], ids=["complex", "strings", "none-target", "unhashable-target"])
+def test_dataset_names_bad_samples_and_row_targets(X, targets, message):
+    # complex samples once lost their imaginary parts with only a warning,
+    # and the others raised numpy's or Python's bare errors
+    with pytest.raises(ScoringError, match=message):
+        InterventionalDataset(X, targets)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_values(bad):
     # a bad cell makes the local scores of its column non-finite, which the
@@ -537,7 +550,17 @@ def test_mle_params_recovers_the_generating_model():
     (np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]), "error variances must be positive"),
     (np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.ones(3),
      r"B\[1\]\[0\] nonzero but 1 is not a parent of 2"),
-], ids=["B-shape", "sigma2-length", "variance-zero", "weight-off-parents"])
+    (np.zeros((3, 3)), np.array([np.nan, 1.0, 1.0]),
+     "^error variances must be positive and finite$"),
+    (np.zeros((3, 3)), np.array([1.0, np.inf, 1.0]),
+     "^error variances must be positive and finite$"),
+    (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), np.ones(3),
+     "^B must be finite$"),
+    (np.zeros((3, 3)) * 1j, np.ones(3), "^B must hold real numbers, got dtype complex128$"),
+    (np.zeros((3, 3)), np.array(["1", "1", "1"]),
+     "^sigma2 must hold real numbers, got dtype <U1$"),
+], ids=["B-shape", "sigma2-length", "variance-zero", "weight-off-parents", "variance-nan",
+        "variance-inf", "weight-inf", "B-complex", "sigma2-strings"])
 def test_gaussian_model_names_bad_parameters(B, sigma2, message):
     with pytest.raises(ScoringError, match=message):
         GaussianModel(Dag(3, arrows=[(2, 3)]), B, sigma2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -125,6 +126,33 @@ def test_bench_record_keeps_each_runs_cpu_time_and_page_faults(tmp_path):
     assert run["user_s"] >= 0 and run["sys_s"] >= 0
     assert run["user_s"] + run["sys_s"] > 0
     assert 1000 < run["minflt"] < 100_000
+
+
+def test_bench_record_stores_the_code_lines_of_each_side(tmp_path, monkeypatch):
+    # the runs are stand-ins; the two sides' libraries differ by one line
+    bench_record = _bench_record()
+    for side, body in (("parent", "x = 1\ny = 2\n"), ("change", "x = 1\n")):
+        (tmp_path / side / "src" / "gieskit").mkdir(parents=True)
+        (tmp_path / side / "src" / "gieskit" / "a.py").write_text(body)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path / "change")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 0, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "fit_s", "better": "lower"}],
+    }))
+    monkeypatch.setattr(bench_record, "bench", lambda *args: {
+        "result": {"metrics": {"fit_s": {"value": 1.0}}}, "minflt": 0,
+    })
+    monkeypatch.setattr(bench_record, "criterion_11", lambda tree: {"medians_s": {}})
+    monkeypatch.setattr(bench_record, "dp_exact_times", lambda tree: {})
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_record.py", "--parent", str(tmp_path / "parent"), "--seeds", "1", "2",
+        "--trace-seed", "3", "--out", str(out),
+    ])
+    assert bench_record.main() == 0
+    assert json.loads(out.read_text())["library_lines"] == {
+        "parent": {"a.py": 2}, "change": {"a.py": 1},
+    }
 
 
 def _library_size():

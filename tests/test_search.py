@@ -8,6 +8,7 @@ import re
 from dataclasses import replace
 from functools import partial
 from math import fsum
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -548,18 +549,19 @@ def _key(c):
 @example(6, 0, 1, "gies", None)
 def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learner, max_degree):
     # after every call in a run, the cache's ranking of the phase holds
-    # exactly the positive candidates a full enumeration builds, and the move
-    # is the one a fresh cache gives
+    # exactly the positive candidates a full enumeration builds, in rank
+    # order, and the move is the one a fresh cache gives
     sim = simulate(SimConfig(p=p, s=0.6, k=k, m=1, n=300, seed=seed))
     real = gieskit.search.best_move
     calls = []
 
     def checked(g, phase, data, cache=None, max_degree=None):
         move = real(g, phase, data, cache, max_degree)
-        ranking = cache.rankings[phase, max_degree]
-        assert sorted(map(_key, _positive(ranking))) == sorted(
-            map(_key, _full_positive(g, phase, data, cache, max_degree))
-        )
+        # best_move walks the one list unsorted, so its order is checked too
+        full = _full_positive(g, phase, data, cache, max_degree)
+        assert list(map(_key, _positive(cache.rankings[phase, max_degree]))) == [
+            _key(c) for c in sorted(full, key=attrgetter("rank"))
+        ]
         assert move == real(g, phase, data, ScoreCache(data, cache.penalty), max_degree)
         calls.append(move)
         return move
@@ -576,7 +578,7 @@ def test_ranking_state_equals_a_full_rebuild_after_every_step(p, k, seed, learne
 
 
 def _positive(ranking):
-    return [c for cs in ranking.positive for c in cs]
+    return ranking.ranked
 
 
 def _full_positive(g, phase, data, cache, max_degree=None):
