@@ -111,16 +111,11 @@ class Graph:
                 continue
             if b in self._pa[a]:
                 # reverse arrow already present: the pair set encodes a line
-                self._pa[a].discard(b)
-                self._ch[b].discard(a)
-                self._add_line(a, b)
+                self._disorient(b, a)
             else:
-                self._pa[b].add(a)
-                self._ch[a].add(b)
+                self._add_arrow(a, b)
         for a, b in lines:
-            a, b = self._check_pair(a, b)
-            self._drop_edge(a, b)
-            self._add_line(a, b)
+            self._disorient(*self._check_pair(a, b))
 
     def _check_pair(self, a: int, b: int) -> tuple[int, int]:
         """The edge (a, b) as a pair of ints; GraphError if an end is not a
@@ -135,7 +130,8 @@ class Graph:
             raise GraphError(f"self-loop at {a}")
         return a, b
 
-    # -- private mutators; public Graph values are never mutated in place --
+    # -- private mutators; public Graph values are never mutated in place.
+    # Only _add_line, _add_arrow and _drop_edge edit the edge sets. --
 
     def _add_line(self, a: int, b: int) -> None:
         self._nb[a].add(b)
@@ -155,14 +151,13 @@ class Graph:
 
     def _orient(self, a: int, b: int) -> None:
         """Turn the line a - b into the arrow a -> b."""
-        self._nb[a].discard(b)
-        self._nb[b].discard(a)
+        self._drop_edge(a, b)
         self._add_arrow(a, b)
 
     def _disorient(self, a: int, b: int) -> None:
-        """Turn the arrow a -> b into the line a - b."""
-        self._pa[b].discard(a)
-        self._ch[a].discard(b)
+        """Turn the arrow a -> b (or whatever edge joins a and b) into the
+        line a - b."""
+        self._drop_edge(a, b)
         self._add_line(a, b)
 
     # -- queries --
@@ -425,17 +420,17 @@ def is_acyclic(g: Graph) -> bool:
     return True
 
 
-def _dag_error(g: Graph) -> str | None:
-    """Why g is not a DAG, in the words of scoring's errors (its first
-    line, or that it has a directed cycle), or None if it is one."""
+def _require_dag(g: Graph, message: str, error: type[Exception] = GraphError) -> None:
+    """The one guard of the functions that take a DAG: unless g is one,
+    raise error with message.format(why), why naming g's first line or that
+    it has a directed cycle."""
     if isinstance(g, Dag):
-        return None  # its constructor checked it
+        return  # its constructor checked it
     if g.num_lines:
         a, b = g.lines[0]
-        return f"requires a fully directed graph, got the line {a} - {b}"
+        raise error(message.format(f"requires a fully directed graph, got the line {a} - {b}"))
     if not is_acyclic(g):
-        return "requires an acyclic graph, got a directed cycle"
-    return None
+        raise error(message.format("requires an acyclic graph, got a directed cycle"))
 
 
 def topological_order(g: Graph) -> VertexOrdering:

@@ -33,10 +33,10 @@ from .graphs import (
     NotAnArrow,
     _check_limit,
     _check_vertices,
-    _dag_error,
     _is_integer,
     _orient_component,
     _reach,
+    _require_dag,
     as_chain_graph,
     chain_components,
     is_chordal,
@@ -204,9 +204,7 @@ def markov_equivalent(d1: Dag, d2: Dag, fam: TargetFamily) -> bool:
     every target of a conservative family. A d1 or d2 that is not a DAG
     raises GraphError naming its line or directed cycle."""
     for name, d in (("d1", d1), ("d2", d2)):
-        why = _dag_error(d)
-        if why:
-            raise GraphError(f"markov_equivalent {why} in {name}")
+        _require_dag(d, "markov_equivalent {} in " + name)
     if d1.p != d2.p:
         raise GraphError(f"vertex counts differ: {d1.p} != {d2.p}")
     _require_conservative(fam, d1.p)
@@ -280,9 +278,7 @@ def essential_graph(d: Dag, fam: TargetFamily) -> EssentialGraph:
     """The graph union of the equivalence class of d: arrows shared by every
     member stay arrows, disputed arrows become lines. A d that is not a DAG
     raises GraphError naming its line or directed cycle."""
-    why = _dag_error(d)
-    if why:
-        raise GraphError(f"essential_graph {why}")
+    _require_dag(d, "essential_graph {}")
     return EssentialGraph(as_chain_graph(replace_unprotected(d, fam)), fam)
 
 
@@ -303,12 +299,9 @@ class EssentialityReport:
         return self.ok
 
 
-def is_essential_graph(g: Graph, fam: TargetFamily) -> EssentialityReport:
-    """Check the five structural conditions characterizing essential graphs:
-    chain graph, chordal chain components, no induced a -> b - c, no line
-    whose endpoints are separated by a target, all arrows strongly
-    protected."""
-    _require_conservative(fam, g.p)
+def _shape_report(g: Graph) -> EssentialityReport:
+    """Check the three conditions of an essential graph that need no family:
+    chain graph, chordal chain components, no induced a -> b - c."""
     try:
         comps = chain_components(g)
     except DirectedCycle:
@@ -326,6 +319,17 @@ def is_essential_graph(g: Graph, fam: TargetFamily) -> EssentialityReport:
                     False, "arrow-line-subgraph",
                     f"induced {a} -> {b} - {c}",
                 )
+    return EssentialityReport(True)
+
+
+def is_essential_graph(g: Graph, fam: TargetFamily) -> EssentialityReport:
+    """Check the five structural conditions characterizing essential graphs:
+    the three of _shape_report, no line whose endpoints are separated by a
+    target, all arrows strongly protected."""
+    _require_conservative(fam, g.p)
+    shape = _shape_report(g)
+    if not shape:
+        return shape
     memb = fam.membership_index()
     for a, b in g.lines:
         if _pair_separated(memb, a, b):
@@ -345,12 +349,26 @@ def _as_graph(e: EssentialGraph | Graph) -> Graph:
     return e.graph if isinstance(e, EssentialGraph) else e
 
 
+def _class_components(e: EssentialGraph | Graph) -> tuple[Graph, list[frozenset[int]]]:
+    """The graph of e and its chain components, for the functions that list
+    members of its class: DirectedCycle for a partially directed cycle, and
+    GraphError if another condition of _shape_report fails, since no
+    essential graph has that shape."""
+    g = _as_graph(e)
+    comps = chain_components(g)
+    shape = _shape_report(g)
+    if not shape:
+        raise GraphError(f"not an essential graph: {shape.violated} at {shape.witness}")
+    return g, comps
+
+
 def representative(e: EssentialGraph | Graph) -> Dag:
     """One member of the equivalence class: orient every chain component by
-    a lexicographic BFS seeded with ascending vertex ids."""
-    g = _as_graph(e)
+    a lexicographic BFS seeded with ascending vertex ids. A graph that no
+    essential graph can be raises GraphError (_class_components)."""
+    g, comps = _class_components(e)
     h = g.copy()
-    for comp in chain_components(g):
+    for comp in comps:
         _orient_component(h, comp, lexbfs(sorted(comp), g, comp))
     return Dag(g.p, arrows=h.arrows)
 
@@ -393,13 +411,14 @@ def enumerate_representatives(
 ) -> list[Dag]:
     """Every member of the equivalence class, as DAGs; raises
     TooManyRepresentatives once more than `limit` members are seen. A
-    limit that is not an integer of at least 1 raises GraphError."""
+    limit that is not an integer of at least 1, or a graph that no
+    essential graph can be (_class_components), raises GraphError."""
     _check_limit("limit", limit, 1)
-    g = _as_graph(e)
+    g, comps = _class_components(e)
     base = list(g.arrows)
     per_comp: list[list[tuple[tuple[int, int], ...]]] = []
     total = 1
-    for comp in chain_components(g):
+    for comp in comps:
         if len(comp) == 1:
             continue
         options = _component_orientations(g, comp, limit)

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Dag, Graph, _dag_error, _vertex_error
+from .graphs import Dag, Graph, _require_dag, _vertex_error
 from .interventions import Target, TargetFamily
 
 #: A fit whose residual variance falls below this floor raises DegenerateFit.
@@ -249,7 +249,8 @@ class InterventionalDataset:
             # no small array per row (thousands of small blocks, once freed,
             # left a fresh process's heap slower for the fits that follow)
             X = np.empty((1024, p))
-            targets, lines = [], []
+            # each distinct target cell is parsed once, with its first line
+            targets, lines, parsed = [], [], {}
             for rec in r:
                 if not rec:
                     continue
@@ -262,7 +263,10 @@ class InterventionalDataset:
                 try:
                     X[len(lines)] = rec[:p]  # numpy parses each cell as float() does
                     cell = rec[p].strip()
-                    targets.append([int(v) for v in cell.split(";")] if cell else [])
+                    if cell not in parsed:
+                        ids = [int(v) for v in cell.split(";")] if cell else []
+                        parsed[cell] = ids, r.line_num
+                    targets.append(parsed[cell][0])
                 except ValueError:
                     raise _cell_error(r.line_num, header, rec) from None
                 lines.append(r.line_num)
@@ -275,6 +279,9 @@ class InterventionalDataset:
             raise NonFiniteData(
                 f"line {lines[row]}, column {header[col]}: {X[row, col]} is not finite"
             )
+        for ids, line in parsed.values():
+            for why in filter(None, (_vertex_error(v, p) for v in ids)):
+                raise ScoringError(f"line {line}, column target: target vertex {why}")
         return cls(X, targets)
 
 
@@ -545,11 +552,9 @@ def _check_vertex_count(g: Graph, data: InterventionalDataset) -> None:
 
 def _check_dag(g: Graph, data: InterventionalDataset) -> None:
     """A DAG scored on data must have one vertex per column, and no line
-    and no directed cycle (graphs._dag_error): else ScoringError."""
+    and no directed cycle (graphs._require_dag): else ScoringError."""
     _check_vertex_count(g, data)
-    why = _dag_error(g)
-    if why:
-        raise ScoringError(f"scoring {why}")
+    _require_dag(g, "scoring {}", ScoringError)
 
 
 def total_score(

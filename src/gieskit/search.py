@@ -164,19 +164,6 @@ class SearchResult:
     trace: SearchTrace | None
 
 
-def _neighborhood_separated(
-    g: Graph,
-    domain: frozenset[int],
-    side_a: frozenset[int],
-    side_b: frozenset[int],
-    separator: frozenset[int],
-) -> bool:
-    """Whether every path inside g[domain] from side_a to side_b passes
-    through the separator (empty sides are trivially separated)."""
-    allowed = domain - separator
-    return side_b.isdisjoint(_reach(side_a, lambda x: g._nb[x] & allowed))
-
-
 # -- validity ---------------------------------------------------------------
 
 
@@ -184,14 +171,16 @@ def _neighborhood_separated(
 # of line-neighbours of v. The move generator (_moves) alone applies it;
 # valid_move asks the generator.
 # Turn-line: C avoids u, C \ N is nonempty (otherwise the class does not
-# change), and C & N separates C \ N from N \ C inside g[nb(v)].
+# change), and C & N separates C \ N from N \ C inside g[nb(v)]: no line
+# path from C \ N leads to N \ C through nb(v) \ C (the walk starts at all
+# of C \ N, so it need not pass through C).
 _ADMITS: dict[MoveKind, Callable[..., bool]] = {
     MoveKind.INSERT: lambda g, nb_v, N, u, C: N <= C,
     MoveKind.DELETE: lambda g, nb_v, N, u, C: C <= N,
     MoveKind.TURN_LINE: lambda g, nb_v, N, u, C: (
         u not in C
         and bool(C - N)
-        and _neighborhood_separated(g, nb_v, C - N, N - C, C & N)
+        and (N - C).isdisjoint(_reach(C - N, lambda x: g._nb[x] & (nb_v - C)))
     ),
 }
 _ADMITS[MoveKind.TURN_ARROW] = _ADMITS[MoveKind.INSERT]
@@ -245,8 +234,7 @@ def _paths_clear(kind: MoveKind, g: Graph, u: int, v: int, C: frozenset[int]) ->
         return not has_path(g, v, u, forbidden=C)
     if kind is MoveKind.TURN_ARROW:
         cut = g.copy()
-        cut._pa[u].discard(v)
-        cut._ch[v].discard(u)
+        cut._drop_edge(v, u)
         return not has_path(cut, v, u, forbidden=C | g._nb[u])
     return True
 

@@ -78,13 +78,24 @@ def test_simulate_writes_the_scenario_bundle(sim_dir, capsys):
     assert skeleton(ess) == skeleton(dag)
 
 
-def test_simulate_stdout_reports_the_bundle(tmp_path, capsys):
+class _ClosedPipe:
+    """A stdout whose reader has gone, as after `gieskit ... | head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_simulate_stdout_reports_the_bundle(tmp_path, capsys, monkeypatch):
     out = tmp_path / "s"
     code, stdout, _ = run(capsys, *SIM_ARGS, "--out-dir", str(out))
     assert code == 0
     payload = json.loads(stdout)
     assert payload["out_dir"] == str(out)
     assert payload["metadata"]["n"] == 400
+    # a closed stdout ends the run with 1 and no JSON error line
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code, _, err = run(capsys, *SIM_ARGS, "--out-dir", str(out))
+    assert code == 1 and err == ""
 
 
 def test_simulate_replicates_differ(tmp_path, capsys):

@@ -123,6 +123,8 @@ def test_graph_merges_conflicting_pair_specs_into_a_line():
     assert Graph(3, arrows=[(1, 2), (2, 1)]) == Graph(3, lines=[(1, 2)])
     assert Graph(3, arrows=[(1, 2)], lines=[(1, 2)]) == Graph(3, lines=[(1, 2)])
     assert Graph(3, arrows=[(1, 2), (1, 2)]) == Graph(3, arrows=[(1, 2)])
+    # and equal graphs hash alike
+    assert hash(Graph(3, arrows=[(1, 2), (2, 1)])) == hash(Graph(3, lines=[(1, 2)]))
 
 
 def test_graph_equality_ignores_insertion_order():
@@ -131,6 +133,11 @@ def test_graph_equality_ignores_insertion_order():
     assert g1 == g2
     assert g1 != Graph(3, arrows=[(1, 2)])
     assert g1 != Graph(4, arrows=[(1, 2), (1, 3)])
+    # a Dag equals, and hashes like, the Graph of its arrows
+    assert Dag(3, arrows=[(1, 3), (1, 2)]) == g1
+    assert hash(Dag(3, arrows=[(1, 3), (1, 2)])) == hash(g1)
+    # other types are left to compare themselves
+    assert g1.__eq__(g1.to_dict()) is NotImplemented and g1 != g1.to_dict()
 
 
 def test_dag_refuses_cycles_and_lines():
@@ -188,6 +195,7 @@ def test_json_round_trip():
     d = cases.dag_7v()
     assert Dag.from_json(d.to_json()) == d
     assert isinstance(Dag.from_json(d.to_json()), Dag)
+    assert eval(repr(g), {"Graph": Graph}) == g and eval(repr(d), {"Graph": Graph}) == d
     with pytest.raises(GraphError):
         Dag.from_dict(g.to_dict())
 

@@ -14,6 +14,7 @@ import cases
 import oracles
 from gieskit import (
     Dag,
+    DirectedCycle,
     EssentialGraph,
     Graph,
     GraphError,
@@ -25,6 +26,7 @@ from gieskit import (
     TooLarge,
     TooManyRepresentatives,
     apply_move,
+    as_chain_graph,
     count_non_essential,
     enumerate_representatives,
     essential_graph,
@@ -55,6 +57,7 @@ def test_target_family_basics():
     assert fam.unique == (frozenset(), frozenset({4}), frozenset({3, 5}))
     assert fam == TargetFamily([[], [4], [5, 3], [4]])
     assert hash(fam) == hash(TargetFamily([(), (4,), (3, 5), (4,)]))
+    assert fam.__eq__(fam.to_lists()) is NotImplemented and fam != fam.to_lists()
 
 
 def test_target_family_validation():
@@ -123,6 +126,7 @@ def test_family_builds_its_unique_members_and_index_once(targets):
 def test_target_family_serialization():
     fam = TargetFamily([(), (4,), (3, 5)])
     assert TargetFamily.from_json(fam.to_json()) == fam
+    assert eval(repr(fam), {"TargetFamily": TargetFamily}) == fam
     assert TargetFamily.parse("[[], [4], [3, 5]]") == fam
     assert TargetFamily.parse("[]; [4]; [3,5]") == fam
     with pytest.raises(GraphError):
@@ -463,6 +467,29 @@ def test_representatives_accept_a_bare_graph():
     g = cases.eg_7v_t4()
     assert representative(g).p == 7
     assert len(enumerate_representatives(g)) == 8
+
+
+@pytest.mark.parametrize("call", [representative, enumerate_representatives])
+@pytest.mark.parametrize("wrap", [
+    lambda g: g,
+    lambda g: EssentialGraph(as_chain_graph(g), TargetFamily([[]])),
+], ids=["graph", "essential-graph"])
+@pytest.mark.parametrize("g, why", [
+    # once oriented into the v-structure 2 -> 3 <- 4, or listed as no DAG
+    (Graph(4, lines=[(1, 2), (2, 3), (3, 4), (4, 1)]),
+     "chordal-components at component [1, 2, 3, 4] is not chordal"),
+    # once listed as 1 -> 2 -> 3 and 1 -> 2 <- 3, which are not equivalent
+    (Graph(3, arrows=[(1, 2)], lines=[(2, 3)]), "arrow-line-subgraph at induced 1 -> 2 - 3"),
+], ids=["chordless-cycle", "arrow-line"])
+def test_representatives_refuse_a_shape_no_essential_graph_has(call, wrap, g, why):
+    with pytest.raises(GraphError, match=f"^not an essential graph: {re.escape(why)}$"):
+        call(wrap(g))
+
+
+@pytest.mark.parametrize("call", [representative, enumerate_representatives])
+def test_representatives_of_a_partially_directed_cycle_raise_directed_cycle(call):
+    with pytest.raises(DirectedCycle):
+        call(Graph(3, arrows=[(1, 2)], lines=[(2, 3), (1, 3)]))
 
 
 def test_count_non_essential():

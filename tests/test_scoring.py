@@ -203,7 +203,9 @@ def test_rows_share_one_frozenset_per_distinct_target(tmp_path):
     assert len({id(t) for t in back.targets}) == len(set(back.targets)) > 1
     # each distinct target is checked once, and still checked
     path.write_text(path.read_text() + ",".join(["0.5"] * 6) + ",2;7\n")
-    with pytest.raises(ScoringError, match="^target vertex 7 outside 1..6$"):
+    with pytest.raises(
+        ScoringError, match="^line 302, column target: target vertex 7 outside 1..6$"
+    ):
         InterventionalDataset.read_csv(path)
 
 
@@ -224,6 +226,12 @@ def test_read_csv_rejects_malformed(tmp_path):
     ("x1,x2,target\n1.0,,\n", "line 2, column x2: '' is not a number"),
     ("x1,x2,target\n1.0,2.0,1;a\n", "line 2, column target: '1;a' is not"),
     ("x1,x3,target\n1.0,2.0,\n", "line 1: CSV columns must be x1..xp,target"),
+    # a target id outside 1..p, named at the first line of its cell
+    ("x1,x2,target\n1.0,2.0,\n3.0,4.5,7\n", "line 3, column target: target vertex 7 outside 1..2"),
+    ("x1,x2,target\n1.0,2.0,1\n3.0,4.5,0\n", "line 3, column target: target vertex 0 outside 1..2"),
+    ("x1,x2,target\n1.0,2.0,1;-1\n", "line 2, column target: target vertex -1 outside 1..2"),
+    ("x1,x2,target\n1.0,2.0,\n1.0,2.0,3\n3.0,4.5,3\n1.0,2.0,5\n",
+     "line 3, column target: target vertex 3 outside 1..2"),
 ])
 def test_read_csv_names_the_bad_line_and_column(tmp_path, body, message):
     path = tmp_path / "d.csv"

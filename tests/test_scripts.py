@@ -6,6 +6,7 @@ import csv
 import importlib.util
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,23 @@ def test_library_size_counts_code_lines_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["a.py", "6", "sub/b.py", "3", "total", "9"]
     assert _library_size().code_lines("") == 0
+
+
+def test_unreached_lists_the_lines_a_call_never_runs(tmp_path):
+    unreached = _load(SCRIPTS / "unreached.py")
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        return -1\n"  # line 3, the one branch sign(5) skips
+        "    return 1\n"
+    )
+    # the module runs inside the call, so its top level is traced too
+    result, missed = unreached.unreached(
+        lambda: runpy.run_path(str(probe))["sign"](5), tmp_path
+    )
+    assert result == 1
+    assert missed == {"probe.py": [3]}
 
 
 PERFBENCH = SCRIPTS.parent / "perfbench"

@@ -143,6 +143,11 @@ def test_random_targets_infeasible():
     with pytest.raises(InfeasibleTargets):
         simulate(SimConfig(p=4, s=0.5, k=1, m=0, n=20))
     assert random_targets(4, 0, 0, substream(0)).to_lists() == [[]]
+    # feasible, but an rng that draws one target over and over never gets
+    # a second: the sampler gives up instead of looping forever
+    stuck = type("StuckRng", (), {"choice": lambda self, p, size, replace: [0]})()
+    with pytest.raises(InfeasibleTargets, match="^rejection sampling stalled at 1/2 targets$"):
+        random_targets(3, 2, 1, stuck)
 
 
 # -- sampling ----------------------------------------------------------------------
